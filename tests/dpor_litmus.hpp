@@ -106,6 +106,42 @@ inline sim::ExploreOutcome explore_funnel_counter(FunnelProtocol proto, u32 npro
       });
 }
 
+/// Bounded FunnelCounter (floor 0, elimination on): processor 0 runs one
+/// fai() against processor 1's one bfad(0) — the BFaD shape FunnelTree
+/// runs, and the only litmus whose opposite-direction collisions reach
+/// the counter's elimination paths. Oracles: the two results and the final
+/// value are those of one sequential order — fai first (fai 0, bfad 1,
+/// final 0) or bfad first at the floor (bfad 0, fai 0, final 1) — and the
+/// detector is clean.
+inline sim::ExploreOutcome explore_bounded_counter(FunnelProtocol proto,
+                                                   const sim::ExploreParams& ep = {}) {
+  using Cfg = FunnelCounter<SimPlatform>::Config;
+  return sim::explore_all(
+      2, litmus_machine(), /*seed=*/1, ep, [&](sim::Engine& eng, std::string& diag) {
+        FunnelCounter<SimPlatform> c(2, litmus_funnel(proto), Cfg{true, true, 0}, 0);
+        i64 inc = -1;
+        i64 dec = -1;
+        eng.run([&](ProcId id) {
+          if (id == 0)
+            inc = c.fai();
+          else
+            dec = c.bfad(0);
+        });
+        if (eng.explorer()->deadlocked()) return false;
+        diag = detector_findings(eng);
+        if (!diag.empty()) return false;
+        const i64 fin = c.read();
+        const bool fai_first = inc == 0 && dec == 1 && fin == 0;
+        const bool bfad_first = inc == 0 && dec == 0 && fin == 1;
+        if (!fai_first && !bfad_first) {
+          diag = "no sequential order explains fai=" + std::to_string(inc) +
+                 " bfad=" + std::to_string(dec) + " final=" + std::to_string(fin);
+          return false;
+        }
+        return true;
+      });
+}
+
 /// FunnelStack: each processor pushes one distinct value then pops once;
 /// processor 0 drains in a second (quiescent) run. Oracles: conservation
 /// as multisets, detector clean.
@@ -134,6 +170,41 @@ inline sim::ExploreOutcome explore_funnel_stack(u32 nprocs, const sim::ExplorePa
         for (u32 i = 0; i < nprocs; ++i) want.push_back(i + 1);
         std::sort(out.begin(), out.end());
         if (out != want) {
+          diag = "conservation violated: " + std::to_string(out.size()) + " values came back";
+          return false;
+        }
+        return true;
+      });
+}
+
+/// FunnelStack under the aggregate protocol: processor 0 pushes two
+/// distinct values, processor 1 pops once, and processor 0 drains in a
+/// second (quiescent) run. Oracles: conservation as multisets, detector
+/// clean. (The exchange litmus's push-then-pop-per-processor shape is
+/// roughly 60x larger under aggregation.)
+inline sim::ExploreOutcome explore_funnel_stack_aggregate(const sim::ExploreParams& ep = {}) {
+  return sim::explore_all(
+      2, litmus_machine(), /*seed=*/1, ep, [&](sim::Engine& eng, std::string& diag) {
+        FunnelStack<SimPlatform> st(2, litmus_funnel(FunnelProtocol::kAggregate), 64);
+        std::vector<u64> out;
+        eng.run([&](ProcId id) {
+          if (id == 0) {
+            (void)st.push(1);
+            (void)st.push(2);
+          } else if (auto v = st.pop()) {
+            out.push_back(*v);
+          }
+        });
+        if (eng.explorer()->deadlocked()) return false;
+        eng.run([&](ProcId id) {
+          if (id != 0) return;
+          while (auto v = st.pop()) out.push_back(*v);
+        });
+        if (eng.explorer()->deadlocked()) return false;
+        diag = detector_findings(eng);
+        if (!diag.empty()) return false;
+        std::sort(out.begin(), out.end());
+        if (out != std::vector<u64>{1, 2}) {
           diag = "conservation violated: " + std::to_string(out.size()) + " values came back";
           return false;
         }

@@ -18,6 +18,7 @@
 namespace fpq {
 namespace {
 
+using dpor_litmus::explore_bounded_counter;
 using dpor_litmus::explore_funnel_counter;
 using dpor_litmus::explore_funnel_stack;
 using dpor_litmus::explore_hazard;
@@ -35,20 +36,48 @@ void expect_clean_and_complete(const sim::ExploreOutcome& out) {
       << "a one-execution exploration means the litmus has no concurrency";
 }
 
+// Pinned funnel oracles: the exact size of each funnel litmus's explored
+// space. Every shared access and P::rnd() draw of the funnel code is a
+// potential choice point, so these counts change whenever a processor's
+// access sequence does. A behaviour-preserving refactor must leave them
+// identical; any change to these numbers must be explained in the DPOR
+// table of EXPERIMENTS.md.
+void expect_explored(const sim::ExploreOutcome& out, u64 executions, u64 steps) {
+  expect_clean_and_complete(out);
+  EXPECT_EQ(out.stats.executions, executions) << sim::to_string(out.stats);
+  EXPECT_EQ(out.stats.steps, steps) << sim::to_string(out.stats);
+}
+
 // ---- Acceptance configs: these exact scenarios are re-run, mutated, by
 // test_dpor_corpus.cpp. Completion here is what makes corpus detection
 // meaningful.
 
 TEST(DporLitmus, FunnelCounterExchangeCompletesClean) {
-  expect_clean_and_complete(explore_funnel_counter(FunnelProtocol::kExchange, 2, 1));
+  expect_explored(explore_funnel_counter(FunnelProtocol::kExchange, 2, 1), 33, 889);
 }
 
 TEST(DporLitmus, FunnelCounterAggregateCompletesClean) {
-  expect_clean_and_complete(explore_funnel_counter(FunnelProtocol::kAggregate, 2, 2));
+  expect_explored(explore_funnel_counter(FunnelProtocol::kAggregate, 2, 2), 63938, 3101680);
 }
 
 TEST(DporLitmus, FunnelStackCompletesClean) {
-  expect_clean_and_complete(explore_funnel_stack(2));
+  expect_explored(explore_funnel_stack(2), 14528, 1766500);
+}
+
+// Bounded mode (fai against bfad): the only rows that model-check the
+// counter's full and partial elimination, which FunnelTree's BFaD runs.
+TEST(DporLitmus, BoundedFunnelCounterExchangeCompletesClean) {
+  expect_explored(explore_bounded_counter(FunnelProtocol::kExchange), 33, 758);
+}
+
+TEST(DporLitmus, BoundedFunnelCounterAggregateCompletesClean) {
+  expect_explored(explore_bounded_counter(FunnelProtocol::kAggregate), 304, 7604);
+}
+
+// The stack's aggregate path: representative close inside the MCS
+// section, positional verdicts after the unlock.
+TEST(DporLitmus, FunnelStackAggregateCompletesClean) {
+  expect_explored(dpor_litmus::explore_funnel_stack_aggregate(), 5801, 738794);
 }
 
 TEST(DporLitmus, McsHandoffThreeProcsCompletesClean) {

@@ -48,8 +48,12 @@ TEST(DporCorpus, FindsAggregateVerdictReadAfterRelease) {
   // concurrently with that read — the width-1 litmus funnel makes the two
   // processors collide, and the child's next-op relaxed sum store is
   // unordered against the late read.
-  expect_race_found(
-      dpor_litmus::explore_funnel_counter(FunnelProtocol::kAggregate, 2, 2));
+  // Pinned: found at execution 54. The index depends on the funnel's
+  // exact access sequence, so any change to it must be explained in the
+  // corpus table of EXPERIMENTS.md.
+  const auto out = dpor_litmus::explore_funnel_counter(FunnelProtocol::kAggregate, 2, 2);
+  expect_race_found(out);
+  EXPECT_EQ(out.violating_exec, 54u) << sim::to_string(out.stats);
 }
 
 #elif defined(FPQ_SEEDED_BUG_HP_RELAXED)
