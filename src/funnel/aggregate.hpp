@@ -1,20 +1,15 @@
 // Aggregation collision endpoint (Roh et al. '24, arXiv 2411.14420 —
-// "Aggregating Funnels for Faster Fetch&Add and Queues").
+// "Aggregating Funnels for Faster Fetch&Add and Queues"). Where the
+// exchange protocol merges exactly two combining trees per collision, a
+// layer slot's occupant ("representative") keeps an *open aggregation
+// record* here: every late arrival CAS-appends its whole batched request
+// onto the list, and the representative closes it and serves everyone
+// with one central operation — a flat list instead of a binary tree.
 //
-// Where the exchange protocol resolves a layer collision *pairwise* (one
-// collision merges exactly two combining trees, so a width-w burst needs
-// Θ(log w) rounds before someone reaches the central object), aggregation
-// lets a layer slot's occupant keep an *open aggregation record*: every
-// late arrival CAS-appends its whole batched request onto the occupant's
-// list, the occupant ("representative") closes the list, applies ONE
-// central RMW for the entire aggregate, and hands each participant its
-// positional verdict directly — a flat list instead of a binary tree.
-//
-// The endpoint is embedded in a funnel record (FunnelCounter::Rec /
-// FunnelStack::Rec, which must expose it as a member named `agg`): `head`
-// is the join point of the record's *own* aggregate when it acts as
-// representative; `next` is the record's link in *someone else's* aggregate
-// when it joins. `head` holds one of
+// The endpoint is embedded in every funnel record as the member `agg`
+// (FunnelCore::Rec, funnel/core.hpp): `head` is the join point of the
+// record's *own* aggregate when it acts as representative; `next` is the
+// record's link in *someone else's* aggregate when it joins. `head` holds
 //     kAggClosed    — no aggregate open on this record (initial state);
 //     kAggOpenEmpty — open, nobody has joined yet;
 //     a Rec*        — open, encoded pointer to the most recent joiner
@@ -28,20 +23,17 @@
 // perfectly valid join — requests are self-describing (the joined record
 // carries its whole batch), so it never matters *which* tenure's aggregate
 // serves them. Likewise the join CAS publishing `next = h` is consistent
-// across tenures: the CAS succeeding means `head == h` at that instant, so
-// the list stays well-formed no matter when `h` was read.
+// across tenures: the CAS succeeding means `head == h` at that instant.
 //
-// Memory-order contract (DESIGN.md §8 / §13): a joiner's payload (batch
-// sums, item buffers, mark) is written relaxed and published by the
-// release half of its join CAS on `head`; the representative's acq_rel
-// exchange that closes the list is the matching acquire, made transitive
-// through the intermediate joiners' acq_rel CASes (each absorbs and
-// re-publishes the sync clock of the word). `open()` is a release store so
-// a joiner arriving through a stale slot read is still ordered after the
-// representative's record reuse. Verdicts flow back on the usual
-// result_state release / acquire-spin edge owned by the records. No
-// seq_cst anywhere: there is no store-buffering shape — every decision is
-// made through RMWs on the single `head` word.
+// Memory-order contract (DESIGN.md §8 / §13): a joiner's payload is
+// written relaxed and published by the release half of its join CAS on
+// `head`; the representative's acq_rel closing exchange is the matching
+// acquire, made transitive through the intermediate joiners' acq_rel CASes.
+// `open()` is a release store so a joiner arriving through a stale slot
+// read is still ordered after the representative's record reuse. Verdicts
+// flow back on the records' result_state edges. No seq_cst anywhere: every
+// decision is made through RMWs on the single `head` word, so there is no
+// store-buffering shape.
 #pragma once
 
 #include <vector>

@@ -1,56 +1,42 @@
 // Combining-funnel stack — the "bin" of the funnel-based priority queues
 // (paper §3.2; elimination from Shavit & Touitou '95, funnels from Shavit &
-// Zemach '98). Same collision skeleton as FunnelCounter, specialized:
+// Zemach '98). The collision machinery is FunnelCore (funnel/core.hpp);
+// this file is its central object, an item store behind an MCS lock:
 //
 //   * push trees carry their items up the combining tree (a parent copies a
 //     captured child subtree's items into its own buffer);
 //   * pop trees carry counts up and items back down (a parent serves each
 //     child subtree its slice of the popped batch);
 //   * a push tree colliding with a pop tree eliminates: the poppers consume
-//     the pushers' items without touching the central stack (this is what
+//     the pushers' items without touching the central store (this is what
 //     makes funnel bins win at high load);
-//   * surviving batches apply to a central array stack in one short MCS
-//     critical section.
+//   * surviving batches apply to the central store in one short MCS
+//     critical section, which always completes.
 //
-// Batching (Roh et al. '24 aggregation): a record carries a batch of k
-// same-direction operations (push_batch/pop_batch), and same-direction
-// trees combine at *any* sizes — the paper's equal-size homogeneity rule
-// is replaced by a buffer-capacity guard. Item/verdict routing is purely
-// positional: a tree root's buffer lays out its own batch first, then each
-// captured child subtree's slice in capture order, and a per-record
-// `mark` fill pointer (published with the record like `sum`) tracks how
-// much of the owner's slice eliminations have already consumed/filled, so
-// the remaining region is always one contiguous range. Elimination serves
-// a captured opposite tree *whole* (it is frozen and absorbs exactly one
-// verdict): either the capturer's entire remaining batch cancels (full
-// elimination) or the capture cancels a slice of the capturer's *own*
-// operations only (partial elimination) — a child subtree's slice is never
-// split between an elimination and the central verdict, which is what
-// keeps flat push verdicts (kStPushed/kStFull) truthful. Oversized
-// opposite captures get kStRetry.
+// Batches (Roh et al. '24) of the same direction combine at *any* sizes,
+// under a buffer-capacity guard instead of the paper's equal-size rule.
+// Item/verdict routing is positional: a tree root's buffer holds its own
+// batch first, then each captured child subtree's slice in capture order,
+// and a per-record `mark` fill pointer (published with the record like
+// `sum`) tracks how much of the owner's slice eliminations have already
+// consumed/filled, so the remaining region is one contiguous range. A
+// child subtree's slice is never split between an elimination and the
+// central verdict, which keeps flat push verdicts (kStPushed/kStFull)
+// truthful.
 //
-// Collision protocol (FunnelParams::protocol, DESIGN.md §13): the above
-// describes the paper's pairwise *exchange* protocol. In *aggregate* mode
-// (Roh et al. '24) a layer-slot occupant keeps an open aggregation record
-// (funnel/aggregate.hpp) that late arrivals CAS their batched requests
-// onto. The representative's open window is the MCS lock acquisition wait
-// itself: it opens, queues on the central lock, and once inside closes the
-// flat list and serves every participant's slice — its own first, then
-// each joiner in close order — in ONE critical section, exactly the
-// operation sequence the same records would have produced as consecutive
-// point batches (per-record all-or-nothing push refusal included; one
-// refused participant never blocks later ones). Verdicts are published
-// after the unlock on the usual result_state edges.
+// Under the aggregate protocol (DESIGN.md §13) the representative's open
+// window extends through its MCS acquisition wait; once inside, it closes
+// the flat list and serves every participant's slice — its own first, then
+// each joiner in close order — in ONE critical section, exactly as the
+// same records would have run as consecutive point batches (per-record
+// all-or-nothing push refusal included). Verdicts are published after the
+// unlock.
 //
 // bin-empty is a single read of the central size word — the property
-// LinearFunnels' delete-min scan depends on (§3.2).
-//
-// Like the paper's stacks, equal-priority items come out LIFO by default,
-// which "can cause unfairness (and even starvation) among items of equal
-// priority" (§3.2). The paper's suggested remedy is implemented as
-// BinOrder::kFifo: the *hybrid* structure that still eliminates in the
-// funnel but stores surviving batches in a central FIFO ring, so items of
-// equal priority that reach the central store come out in arrival order.
+// LinearFunnels' delete-min scan depends on (§3.2). Equal-priority items
+// come out LIFO by default, which "can cause unfairness (and even
+// starvation)" (§3.2); BinOrder::kFifo is the paper's remedy, the hybrid
+// that still eliminates in the funnel but keeps the central store FIFO.
 //
 // Pops that find the central store short return fewer items. Items must
 // not equal kNoEntry (reserved as the "no item" sentinel). Pushing beyond
@@ -58,16 +44,15 @@
 // surfaces as insert() == false / a short insert_batch count.
 #pragma once
 
-#include <cstdlib>
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/entry.hpp"
-#include "common/padded.hpp"
 #include "common/types.hpp"
-#include "funnel/aggregate.hpp"
+#include "funnel/core.hpp"
 #include "funnel/params.hpp"
 #include "platform/platform.hpp"
 #include "sync/mcs_lock.hpp"
@@ -81,21 +66,54 @@ enum class BinOrder : u8 {
   kFifo, // ring queue — the paper's fairness hybrid (§3.2)
 };
 
+namespace funnel_detail {
+
+/// The stack's per-record payload. Its item buffer and mark ride the same
+/// publication edges as the record's sum (funnel/core.hpp).
 template <Platform P>
-class FunnelStack {
+struct StackPayload {
+  explicit StackPayload(u32 batch) {
+    // The buffer is handed between owner and capturer wholesale (one party
+    // at a time, ordered by the location/verdict edges); contiguity is
+    // what makes the slice copies cheap.
+    // contract-lint: allow(unpadded-shared)
+    buf = std::make_unique<typename P::template Shared<u64>[]>(batch);
+  }
+  /// Elimination fill pointer into the owner's slice, published with the
+  /// record (same location-release edge as sum). Push trees: own items
+  /// below mark have been consumed by poppers, so the tree's remaining
+  /// items are the contiguous range [mark, own_n + child_extra). Pop
+  /// trees: own demand below mark has been filled, so the unfilled
+  /// positions are [mark, own_n + child_extra).
+  typename P::template Shared<u64> mark{0};
+  /// Subtree item buffer, laid out positionally: the owner's batch at
+  /// [0, own_n), then each captured child subtree's slice in capture
+  /// order. Push trees accumulate items here on the way up; pop trees
+  /// receive their slices here on the way down.
+  // contract-lint: allow(unpadded-shared)
+  std::unique_ptr<typename P::template Shared<u64>[]> buf;
+  // Owner-local state.
+  u64 own_n = 0;
+  u64 child_extra = 0; // children's items (push) / demand (pop) absorbed
+  /// Aggregation protocol only: per-participant verdict states computed
+  /// inside the critical section, published after the unlock (owner-local
+  /// scratch, parallel to `children`).
+  std::vector<u32> verdicts;
+};
+
+} // namespace funnel_detail
+
+template <Platform P>
+class FunnelStack : private FunnelCore<P, FunnelStack<P>, funnel_detail::StackPayload<P>, u64> {
+  using Core = FunnelCore<P, FunnelStack<P>, funnel_detail::StackPayload<P>, u64>;
+  friend Core;
+
  public:
   FunnelStack(u32 maxprocs, const FunnelParams& params, u32 capacity,
               bool eliminate = true, BinOrder order = BinOrder::kLifo)
-      : params_(params), eliminate_(eliminate), order_(order), lock_(maxprocs),
-        cells_(capacity) {
-    params_.validate();
-    FPQ_ASSERT(maxprocs >= 1 && capacity >= 1);
-    const u32 batch = max_batch();
-    records_.reserve(maxprocs);
-    for (u32 i = 0; i < maxprocs; ++i) records_.push_back(std::make_unique<Rec>(batch));
-    layers_.resize(params_.levels);
-    for (u32 d = 0; d < params_.levels; ++d)
-      layers_[d] = std::make_unique<Padded<Slot>[]>(params_.width[d]);
+      : Core(maxprocs, params, batch_for(params)), eliminate_(eliminate), order_(order),
+        lock_(maxprocs), cells_(capacity) {
+    FPQ_ASSERT(capacity >= 1);
   }
 
   /// Pushes one item. Returns false when the central stack is full (the
@@ -103,14 +121,14 @@ class FunnelStack {
   /// signal).
   bool push(Item v) {
     FPQ_ASSERT_MSG(v != kNoEntry, "item value reserved as sentinel");
-    Rec& my = *records_[P::self()];
-    my.buf[0].store_relaxed(v); // published by the location release in apply()
+    Rec& my = this->record();
+    my.buf[0].store_relaxed(v); // published with the record by the funnel
     return apply(my, /*delta=*/+1, 1) == 1;
   }
 
   /// Pops one item, or nullopt when the stack has none to give.
   std::optional<Item> pop() {
-    Rec& my = *records_[P::self()];
+    Rec& my = this->record();
     apply(my, /*delta=*/-1, 1);
     const u64 r = my.buf[0].load_relaxed();
     if (r == kNoItem) return std::nullopt;
@@ -122,7 +140,7 @@ class FunnelStack {
   /// central store refuses the batch's whole remainder.
   u32 push_batch(const Item* items, u32 n) {
     FPQ_ASSERT(n >= 1 && n <= max_batch());
-    Rec& my = *records_[P::self()];
+    Rec& my = this->record();
     for (u32 i = 0; i < n; ++i) {
       FPQ_ASSERT_MSG(items[i] != kNoEntry, "item value reserved as sentinel");
       my.buf[i].store_relaxed(items[i]);
@@ -134,7 +152,7 @@ class FunnelStack {
   /// number obtained — short when the central store comes up short.
   u32 pop_batch(Item* out, u32 k) {
     FPQ_ASSERT(k >= 1 && k <= max_batch());
-    Rec& my = *records_[P::self()];
+    Rec& my = this->record();
     apply(my, -static_cast<i64>(k), k);
     u32 got = 0;
     for (u32 i = 0; i < k; ++i) {
@@ -212,232 +230,183 @@ class FunnelStack {
   u32 capacity() const { return static_cast<u32>(cells_.size()); }
   /// Largest batch one record (and so one push_batch/pop_batch call) may
   /// carry; also bounds a combining tree's total batch.
-  u32 max_batch() const { return params_.batch_limit << params_.levels; }
+  u32 max_batch() const { return batch_for(this->params_); }
   BinOrder order() const { return order_; }
 
  private:
-  static constexpr u64 kLocEmpty = 0;
-  static constexpr u32 kStEmpty = 0;
-  static constexpr u32 kStPushed = 1;  // push batch applied (or eliminated)
-  static constexpr u32 kStPopped = 2;  // items (or sentinels) are in my buf
-  static constexpr u32 kStFull = 3;    // remainder refused: stack full
-  static constexpr u32 kStRetry = 4;   // capturer could not serve us; rejoin
-  static constexpr u64 kNoItem = kNoEntry;
+  using typename Core::Rec;
+  using typename Core::Slot;
 
-  struct alignas(kCacheLineBytes) Rec {
-    // The buffer is handed between owner and capturer wholesale (one party
-    // at a time, ordered by the location/verdict edges); contiguity is
-    // what makes the slice copies cheap.
-    // contract-lint: allow(unpadded-shared)
-    explicit Rec(u32 batch) : buf(std::make_unique<typename P::template Shared<u64>[]>(batch)) {}
-    typename P::template Shared<u64> location{kLocEmpty};
-    typename P::template Shared<i64> sum{0};
-    /// Elimination fill pointer into the owner's slice, published with the
-    /// record (same location-release edge as sum). Push trees: own items
-    /// below mark have been consumed by poppers, so the tree's remaining
-    /// items are the contiguous range [mark, own_n + child_extra). Pop
-    /// trees: own demand below mark has been filled, so the unfilled
-    /// positions are [mark, own_n + child_extra).
-    typename P::template Shared<u64> mark{0};
-    typename P::template Shared<u32> result_state{kStEmpty};
-    /// Subtree item buffer, laid out positionally: the owner's batch at
-    /// [0, own_n), then each captured child subtree's slice in capture
-    /// order. Push trees accumulate items here on the way up; pop trees
-    /// receive their slices here on the way down.
-    // contract-lint: allow(unpadded-shared)
-    std::unique_ptr<typename P::template Shared<u64>[]> buf;
-    // Owner-local state; adaption starts low (assume no load until the
-    // lock or layers say otherwise).
-    u64 own_n = 0;
-    u64 child_extra = 0; // children's items (push) / demand (pop) absorbed
-    i64 local_sum = 0;
-    double adaption = 0.125;
-    std::vector<Rec*> children;
-    /// Aggregation protocol only: per-participant verdict states computed
-    /// inside the critical section, published after the unlock (owner-local
-    /// scratch, parallel to `children`).
-    std::vector<u32> verdicts;
-    /// Aggregation-protocol endpoint (own aggregate's join point + link in
-    /// a representative's list); idle under the exchange protocol.
-    AggregateEndpoint<P> agg;
-  };
+  static constexpr u32 kStPushed = 1; // push batch applied (or eliminated)
+  static constexpr u32 kStPopped = 2; // items (or sentinels) are in my buf
+  static constexpr u32 kStFull = 3;   // remainder refused: stack full
+  static constexpr u64 kNoItem = kNoEntry;
 
   /// Central-lock acquisition above this is read as contention.
   static constexpr Cycles kFastPathBudget = 300;
 
-  using Slot = typename P::template Shared<Rec*>;
-
-  static u64 loc(u32 depth) { return static_cast<u64>(depth) + 1; }
-  static u64 tree_size(i64 sum) { return static_cast<u64>(std::llabs(sum)); }
-  static bool same_sign(i64 a, i64 b) { return (a < 0) == (b < 0); }
+  static u32 batch_for(const FunnelParams& p) { return p.batch_limit << p.levels; }
 
   /// Runs the funnel for one batch of k pushes (delta=+k) or k pops
   /// (delta=-k). Returns the number of own items accepted (pushes; pops
   /// return 0 and leave items/sentinels in my.buf[0..k)).
-  /// Ordering contract: identical to FunnelCounter::apply (payload
-  /// published by the location release store, captured via acq_rel CAS;
-  /// verdicts published by the result_state release store, received by the
-  /// acquire spin) — see counter.hpp. Item buffers and the mark fill
-  /// pointer ride those same edges.
   u64 apply(Rec& my, i64 delta, u64 k) {
     my.own_n = k;
     my.child_extra = 0;
     my.mark.store_relaxed(0);
-    my.local_sum = delta;
-    my.children.clear();
-    // Adaption (§3.1): under low observed load, skip the funnel and apply
-    // the batch directly under the central lock; a slow acquisition is the
-    // contention signal that re-opens the funnel.
-    if (params_.adaptive && my.adaption <= params_.adapt_min * 1.01) {
-      const Cycles t0 = P::now();
-      const u64 r = central_apply(my);
-      if (P::now() - t0 > kFastPathBudget)
-        my.adaption = std::min(1.0, my.adaption * 1.5);
-      return r;
-    }
-    my.result_state.store_relaxed(kStEmpty);
-    my.sum.store_relaxed(delta);
-    if (params_.protocol == FunnelProtocol::kAggregate) return aggregate_apply(my);
-    u32 d = 0;
-    my.location.store_release(loc(0)); // publishes sum/mark/state/buf
-    bool collided = false;
-
-    for (;;) {
-      u32 n = 0;
-      while (n < params_.attempts && d < params_.levels) {
-        ++n;
-        const u32 wid = effective_width(my, d);
-        Rec* q = (*layers_[d][P::rnd(wid)]).exchange(&my, MemOrder::kAcqRel);
-        if (q != nullptr && q != &my) {
-          u64 mloc = loc(d);
-          if (!my.location.compare_exchange(mloc, kLocEmpty, MemOrder::kAcqRel,
-                                            MemOrder::kRelaxed)) {
-            if (auto r = finish_as_child(my, d)) return *r;
-            continue; // told to retry; we already rejoined the layer
-          }
-          u64 qloc = loc(d);
-          if (q->location.compare_exchange(qloc, kLocEmpty, MemOrder::kAcqRel,
-                                           MemOrder::kRelaxed)) {
-            const i64 qsum = q->sum.load_relaxed(); // ordered by the capture CAS
-            if (eliminate_ && qsum == -my.local_sum) return eliminate_full(my, *q);
-            if (eliminate_ && !same_sign(qsum, my.local_sum) &&
-                tree_size(qsum) <= own_rem(my)) {
-              // Partial elimination: q's whole tree cancels against a
-              // slice of my own batch; my children's slices are untouched.
-              partial_eliminate(my, *q, qsum);
-              my.location.store_release(loc(d)); // publishes sum and mark
-              continue;
-            }
-            if (same_sign(qsum, my.local_sum) && combine_with(my, *q)) {
-              collided = true;
-              ++d;
-              my.location.store_release(loc(d));
-              n = 0;
-              continue;
-            }
-            // Cannot serve the captured partner (opposite tree bigger than
-            // our own remaining batch, elimination off, or a same-direction
-            // tree that would overflow our buffer): hand it an explicit
-            // retry (see counter.hpp for the race this avoids).
-            q->result_state.store_release(kStRetry);
-            my.location.store_release(loc(d));
-            continue;
-          }
-          my.location.store_release(loc(d));
-        }
-        // Relax between capture-wait probes — see counter.hpp: the polite
-        // spin hint natively, and on the simulator the yield that keeps a
-        // hit-only loop from monopolizing the scheduler under stall plans.
-        for (u32 i = 0; i < params_.spin[d]; ++i) {
-          if (my.location.load_relaxed() != loc(d)) {
-            if (auto r = finish_as_child(my, d)) return *r;
-            break; // retry: rejoin the attempts loop
-          }
-          P::relax();
-        }
-      }
-
-      u64 mloc = loc(d);
-      if (!my.location.compare_exchange(mloc, kLocEmpty, MemOrder::kAcqRel,
-                                        MemOrder::kRelaxed)) {
-        if (auto r = finish_as_child(my, d)) return *r;
-        continue;
-      }
-      const u64 r = central_apply(my);
-      adapt(my, collided);
-      return r;
-    }
+    return this->traverse(my, delta);
   }
 
-  // ---- Aggregation protocol (DESIGN.md §13). The record's payload (sum,
-  // mark, item buffer) is already written relaxed by apply(); publication
-  // happens through the slot-claim CAS (representatives) or the join CAS
-  // on the occupant's `agg.head` (joiners) — the `location` word is never
-  // used, so nothing here can be captured pairwise.
-  u64 aggregate_apply(Rec& my) {
-    for (u32 n = 0; n < params_.attempts; ++n) {
-      Slot& slot = *layers_[0][P::rnd(effective_width(my, 0))];
-      Rec* cur = slot.load_acquire();
-      if (cur == nullptr) {
-        Rec* expected = nullptr;
-        if (slot.compare_exchange(expected, &my, MemOrder::kAcqRel, MemOrder::kRelaxed))
-          return serve_aggregate(my, slot);
-        cur = expected;
-      }
-      if (cur == nullptr || cur == &my) continue; // lost the claim race / stale self
-      if (cur->agg.try_join(&my)) {
-        adapt(my, true); // joining is the aggregation analogue of colliding
-        return finish_as_aggregate_child(my);
-      }
-      // Occupant's aggregate is closed: help-clear the stale slot, retry.
-      slot.compare_exchange(cur, nullptr, MemOrder::kAcqRel, MemOrder::kRelaxed);
-    }
-    adapt(my, false);
-    return central_apply(my); // no aggregate formed: serve the own batch solo
+  // ---- Central-object hooks (contract in funnel/core.hpp).
+
+  /// Adaptive fast path: apply the batch directly under the central lock;
+  /// a slow acquisition is the contention signal that re-opens the funnel.
+  std::optional<u64> fast_path(Rec& my) {
+    const Cycles t0 = P::now();
+    const auto r = central_attempt(my);
+    if (P::now() - t0 > kFastPathBudget) my.adaption = std::min(1.0, my.adaption * 1.5);
+    return r;
   }
 
-  /// Representative path. The open window is up to agg_wait relax beats
-  /// (closed early once joins stop arriving — wait_open_window) plus the
+  bool eliminates() const { return eliminate_; }
+
+  /// Own-batch operations not yet consumed/filled by eliminations.
+  u64 own_remaining(const Rec& my) const { return my.own_n - my.mark.load_relaxed(); }
+
+  /// Opposite trees of equal remaining size: the poppers consume the
+  /// pushers' items; nobody touches the central stack. Serves both trees
+  /// entirely.
+  u64 eliminate(Rec& my, Rec& q, i64) {
+    serve_opposite(my, q, Core::tree_size(my.local_sum));
+    return child_verdict(my, my.local_sum > 0 ? kStPushed : kStPopped);
+  }
+
+  /// Opposite capture no bigger than my own remaining batch: q's whole
+  /// tree is served against my own slice and my mark advances past the
+  /// cancelled ops.
+  void eliminate_partial(Rec& my, Rec& q, i64 qsum) {
+    const u64 qrem = Core::tree_size(qsum);
+    my.mark.store_relaxed(serve_opposite(my, q, qrem) + qrem);
+  }
+
+  /// Serves the captured opposite tree q whole from `count` of my own
+  /// operations: items flow between the two contiguous mark-ranges, and
+  /// q's verdict publishes its slice. Returns my mark before the transfer.
+  u64 serve_opposite(Rec& my, Rec& q, u64 count) {
+    const u64 mmark = my.mark.load_relaxed();
+    const u64 qmark = q.mark.load_relaxed();
+    if (my.local_sum > 0) {
+      for (u64 i = 0; i < count; ++i)
+        q.buf[qmark + i].store_relaxed(my.buf[mmark + i].load_relaxed());
+      q.result_state.store_release(kStPopped); // publishes q's buf slice
+    } else {
+      for (u64 i = 0; i < count; ++i)
+        my.buf[mmark + i].store_relaxed(q.buf[qmark + i].load_relaxed());
+      q.result_state.store_release(kStPushed);
+    }
+    return mmark;
+  }
+
+  /// Merges a captured same-direction subtree into ours, provided the
+  /// total batch fits our buffer. q is frozen (spinning on its
+  /// result_state) and was acquired by the capture CAS, so its sum, mark
+  /// and items are readable relaxed.
+  bool combine(Rec& my, Rec& q, i64 qsum) {
+    if (!Core::same_sign(qsum, my.local_sum)) return false;
+    const u64 qrem = Core::tree_size(q.sum.load_relaxed());
+    if (my.own_n + my.child_extra + qrem > max_batch()) return false;
+    if (my.local_sum > 0) {
+      // Push tree: pull q's remaining items (one contiguous range starting
+      // at its mark) up into our children region.
+      const u64 qmark = q.mark.load_relaxed();
+      for (u64 i = 0; i < qrem; ++i)
+        my.buf[my.own_n + my.child_extra + i].store_relaxed(q.buf[qmark + i].load_relaxed());
+    }
+    my.child_extra += qrem;
+    my.local_sum += q.sum.load_relaxed();
+    return true;
+  }
+
+  /// Representative path. The open window was up to agg_wait relax beats
+  /// (closed early once joins stop arriving) and continues through the
   /// MCS acquisition wait — under contention the lock queueing delay is
-  /// exactly when joiners pile on, and the adaptive window keeps a door
-  /// open even when the lock is free (the adaptive fast path already
-  /// bypasses the funnel when that latency would be wasted). Inside the critical
-  /// section every participant's slice is applied in sequence
-  /// (representative first, then joiners in close order), each with the
-  /// same per-record all-or-nothing rules as a point batch; verdicts are
-  /// published only after the unlock so no waiter ever spins on a value
-  /// computed inside somebody's critical section.
+  /// exactly when joiners pile on. Inside the critical section every
+  /// participant's slice is applied in sequence (representative first,
+  /// then joiners in close order), each with the same per-record
+  /// all-or-nothing rules as a point batch; verdicts are published only
+  /// after the unlock so no waiter ever spins on a value computed inside
+  /// somebody's critical section.
   u64 serve_aggregate(Rec& my, Slot& slot) {
-    my.agg.open();
-    my.agg.wait_open_window(params_.agg_wait, params_.agg_idle_limit());
     my.verdicts.clear();
     u32 mine;
     {
       McsGuard<P> g(lock_);
       my.agg.close_into(my.children);
-      Rec* self = &my;
-      slot.compare_exchange(self, nullptr, MemOrder::kAcqRel, MemOrder::kRelaxed);
-      mine = apply_one_locked(my);
-      for (Rec* c : my.children) my.verdicts.push_back(apply_one_locked(*c));
+      Core::release_slot(my, slot);
+      mine = apply_published(my);
+      for (Rec* c : my.children) my.verdicts.push_back(apply_published(*c));
     }
-    adapt(my, !my.children.empty());
+    this->adapt(my, !my.children.empty());
     for (u64 i = 0; i < my.children.size(); ++i)
       my.children[i]->result_state.store_release(my.verdicts[i]); // publishes buf slices
-    if (my.local_sum < 0) return 0;
-    return mine == kStFull ? my.mark.load_relaxed() : my.own_n;
+    return accepted(my, mine);
   }
 
-  /// One participant's slice against the central store, lock held. Exactly
-  /// central_apply's rules for a single record: all-or-nothing push
-  /// refusal (kStFull), pops served short with kNoItem sentinels. Reads
-  /// the record's published sum/mark (not owner-local fields) — for
-  /// joiners those are ordered by the join-CAS/close-exchange edge, and
-  /// the relaxed writes into a joiner's buffer are published afterwards by
-  /// the result_state release in serve_aggregate.
-  u32 apply_one_locked(Rec& r) {
+  /// A verdict from my capturer (exchange) or representative (aggregate):
+  /// serve my own children, then report my own accepted count.
+  u64 child_verdict(Rec& my, u32 st) {
+    distribute(my, st);
+    return accepted(my, st);
+  }
+
+  /// Own items accepted under verdict `st`: none for pops; for pushes
+  /// everything, or only the eliminated slice below my mark when the
+  /// remainder was refused.
+  u64 accepted(Rec& my, u32 st) {
+    if (st == kStPopped) return 0;
+    return st == kStFull ? my.mark.load_relaxed() : my.own_n;
+  }
+
+  // ---- The central store.
+
+  /// Applies the tree's remaining batch to the central store and
+  /// distributes; the locked apply always completes.
+  std::optional<u64> central_attempt(Rec& my) {
+    const u64 mark = my.mark.load_relaxed();
+    u32 st;
+    {
+      McsGuard<P> g(lock_);
+      st = apply_locked(my, my.local_sum, mark);
+    }
+    distribute(my, st);
+    if (st == kStPopped) return 0;
+    return st == kStFull ? mark : my.own_n;
+  }
+
+  /// One aggregate participant's slice, lock held, from the record's
+  /// published sum and mark (not owner-local fields) — for joiners those
+  /// are ordered by the join-CAS/close-exchange edge, and the relaxed
+  /// writes into a joiner's buffer are published afterwards by the
+  /// result_state release in serve_aggregate.
+  u32 apply_published(Rec& r) {
     const i64 rsum = r.sum.load_relaxed();
-    const u64 rrem = tree_size(rsum);
     const u64 rmark = r.mark.load_relaxed();
+    return apply_locked(r, rsum, rmark);
+  }
+
+  /// One record's slice (signed size `rsum`, remaining range starting at
+  /// `rmark` of its buffer) against the central store, lock held: an
+  /// all-or-nothing push (kStFull refuses the whole slice) or a pop served
+  /// short with kNoItem sentinels. The store is a ring addressed by
+  /// monotone produce/consume counters; LIFO pops consume from the produce
+  /// end, FIFO pops from the consume end. cells_/head_/tail_ are only
+  /// touched inside the MCS critical section, so those accesses are
+  /// relaxed. size_ is also *read lock-free* by empty()/size() (the
+  /// single-read bin-empty probe), so its stores are release to pair with
+  /// those acquire loads — a probe that observes n > 0 is then ordered
+  /// after the push behind it.
+  u32 apply_locked(Rec& r, i64 rsum, u64 rmark) {
+    const u64 rrem = Core::tree_size(rsum);
     const u64 cap = cells_.size();
     const u64 n = size_.load_relaxed();
     if (rsum > 0) {
@@ -466,173 +435,19 @@ class FunnelStack {
     return kStPopped;
   }
 
-  /// Joiner path: the representative serves every participant, so the only
-  /// verdicts are kStPushed/kStFull/kStPopped — never kStRetry.
-  u64 finish_as_aggregate_child(Rec& my) {
-    const u32 st = P::spin_until(my.result_state, [](u32 v) { return v != kStEmpty; });
-    FPQ_ASSERT_MSG(st != kStRetry, "aggregate participants are always served");
-    if (st == kStPopped) return 0;
-    return st == kStFull ? my.mark.load_relaxed() : my.own_n;
-  }
-
-  /// Own-batch operations not yet consumed/filled by eliminations.
-  u64 own_rem(const Rec& my) const { return my.own_n - my.mark.load_relaxed(); }
-
-  /// Merges the captured same-direction subtree into ours, provided the
-  /// total batch fits our buffer. q is frozen (spinning on its
-  /// result_state) and was acquired by the capture CAS, so its sum, mark
-  /// and items are readable relaxed.
-  bool combine_with(Rec& my, Rec& q) {
-    const u64 qrem = tree_size(q.sum.load_relaxed());
-    if (my.own_n + my.child_extra + qrem > max_batch()) return false;
-    if (my.local_sum > 0) {
-      // Push tree: pull q's remaining items (one contiguous range starting
-      // at its mark) up into our children region.
-      const u64 qmark = q.mark.load_relaxed();
-      for (u64 i = 0; i < qrem; ++i)
-        my.buf[my.own_n + my.child_extra + i].store_relaxed(q.buf[qmark + i].load_relaxed());
+  /// Passes my verdict `st` on to my child subtrees. Push verdicts are
+  /// flat. For pops my.buf holds the tree's items/sentinels positionally:
+  /// each child, in capture order, receives its remaining demand starting
+  /// at its own mark; the verdict (and slice) is published by the release
+  /// store of its result_state.
+  void distribute(Rec& my, u32 st) {
+    if (st != kStPopped) {
+      for (Rec* c : my.children) c->result_state.store_release(st);
+      return;
     }
-    my.child_extra += qrem;
-    my.local_sum += q.sum.load_relaxed();
-    my.sum.store_relaxed(my.local_sum);
-    my.children.push_back(&q);
-    return true;
-  }
-
-  /// Opposite trees of equal remaining size: the poppers consume the
-  /// pushers' items; nobody touches the central stack. Serves both trees
-  /// entirely.
-  u64 eliminate_full(Rec& my, Rec& q) {
-    const u64 r = tree_size(my.local_sum);
-    const u64 mmark = my.mark.load_relaxed();
-    const u64 qmark = q.mark.load_relaxed();
-    adapt(my, true);
-    if (my.local_sum > 0) {
-      for (u64 i = 0; i < r; ++i)
-        q.buf[qmark + i].store_relaxed(my.buf[mmark + i].load_relaxed());
-      q.result_state.store_release(kStPopped); // publishes q's buf slice
-      distribute_push(my, kStPushed);
-      return my.own_n;
-    }
-    for (u64 i = 0; i < r; ++i)
-      my.buf[mmark + i].store_relaxed(q.buf[qmark + i].load_relaxed());
-    q.result_state.store_release(kStPushed);
-    distribute_pop(my);
-    return 0;
-  }
-
-  /// Opposite capture no bigger than my own remaining batch: q's whole
-  /// tree is served against my own slice (items flow between the two
-  /// contiguous mark-ranges), my mark advances past the cancelled ops, and
-  /// my tree rejoins the layer with the shrunk sum.
-  void partial_eliminate(Rec& my, Rec& q, i64 qsum) {
-    const u64 qrem = tree_size(qsum);
-    const u64 mmark = my.mark.load_relaxed();
-    const u64 qmark = q.mark.load_relaxed();
-    if (my.local_sum > 0) {
-      for (u64 i = 0; i < qrem; ++i)
-        q.buf[qmark + i].store_relaxed(my.buf[mmark + i].load_relaxed());
-      q.result_state.store_release(kStPopped);
-    } else {
-      for (u64 i = 0; i < qrem; ++i)
-        my.buf[mmark + i].store_relaxed(q.buf[qmark + i].load_relaxed());
-      q.result_state.store_release(kStPushed);
-    }
-    my.mark.store_relaxed(mmark + qrem);
-    my.local_sum += qsum;
-    my.sum.store_relaxed(my.local_sum);
-    adapt(my, true);
-  }
-
-  /// Applies the tree's remaining batch to the central store and
-  /// distributes. The store is a ring addressed by monotone
-  /// produce/consume counters; LIFO pops consume from the produce end,
-  /// FIFO pops from the consume end. The separate size word keeps
-  /// bin-empty a single read.
-  u64 central_apply(Rec& my) {
-    const u64 r = tree_size(my.local_sum);
-    const u64 cap = cells_.size();
-    const u64 mark = my.mark.load_relaxed();
-    // cells_/head_/tail_ are only touched inside the MCS critical section;
-    // the lock's edges order them, so those accesses are relaxed. size_ is
-    // also *read lock-free* by empty()/size() (the single-read bin-empty
-    // probe), so its stores are release to pair with those acquire loads —
-    // a probe that observes n > 0 is then ordered after the push behind it.
-    if (my.local_sum > 0) {
-      bool full = false;
-      {
-        McsGuard<P> g(lock_);
-        const u64 n = size_.load_relaxed();
-        if (n + r > cap) {
-          full = true;
-        } else {
-          const u64 t = tail_.load_relaxed();
-          for (u64 i = 0; i < r; ++i)
-            cells_[(t + i) % cap].store_relaxed(my.buf[mark + i].load_relaxed());
-          tail_.store_relaxed(t + r);
-          size_.store_release(n + r);
-        }
-      }
-      distribute_push(my, full ? kStFull : kStPushed);
-      // Accepted: everything on success; only the eliminated slice when
-      // the remainder was refused.
-      return full ? mark : my.own_n;
-    }
-    {
-      McsGuard<P> g(lock_);
-      const u64 n = size_.load_relaxed();
-      const u64 m = n < r ? n : r;
-      if (order_ == BinOrder::kLifo) {
-        const u64 t = tail_.load_relaxed();
-        for (u64 i = 0; i < m; ++i)
-          my.buf[mark + i].store_relaxed(cells_[(t - 1 - i) % cap].load_relaxed());
-        tail_.store_relaxed(t - m);
-      } else {
-        const u64 h = head_.load_relaxed();
-        for (u64 i = 0; i < m; ++i)
-          my.buf[mark + i].store_relaxed(cells_[(h + i) % cap].load_relaxed());
-        head_.store_relaxed(h + m);
-      }
-      size_.store_release(n - m);
-      for (u64 i = m; i < r; ++i) my.buf[mark + i].store_relaxed(kNoItem);
-    }
-    distribute_pop(my);
-    return 0;
-  }
-
-  /// Waits for the capturer's verdict; nullopt means "rejoin layer d and
-  /// keep trying" (the record has already re-entered the layer).
-  std::optional<u64> finish_as_child(Rec& my, u32 d) {
-    const u32 st =
-        P::spin_until(my.result_state, [](u32 v) { return v != kStEmpty; });
-    if (st == kStRetry) {
-      my.result_state.store_relaxed(kStEmpty);
-      my.location.store_release(loc(d));
-      return std::nullopt;
-    }
-    adapt(my, true);
-    if (st == kStPopped) {
-      distribute_pop(my);
-      return 0;
-    }
-    distribute_push(my, st);
-    // kStFull refuses only the non-eliminated remainder; the slice below
-    // my mark was already consumed by poppers.
-    return st == kStFull ? my.mark.load_relaxed() : my.own_n;
-  }
-
-  void distribute_push(Rec& my, u32 state) {
-    for (Rec* c : my.children) c->result_state.store_release(state);
-  }
-
-  /// my.buf holds the tree's items/sentinels positionally; slice them out
-  /// to the child subtrees in capture order. Each child receives its
-  /// remaining demand starting at its own mark; the verdict (and slice)
-  /// is published by the release store of its result_state.
-  void distribute_pop(Rec& my) {
     u64 off = my.own_n;
     for (Rec* c : my.children) {
-      const u64 crem = tree_size(c->sum.load_relaxed());
+      const u64 crem = Core::tree_size(c->sum.load_relaxed());
       const u64 cmark = c->mark.load_relaxed();
       for (u64 i = 0; i < crem; ++i)
         c->buf[cmark + i].store_relaxed(my.buf[off + i].load_relaxed());
@@ -641,22 +456,7 @@ class FunnelStack {
     }
   }
 
-  u32 effective_width(Rec& my, u32 d) const {
-    const u32 full = params_.width[d];
-    if (!params_.adaptive) return full;
-    const u32 w = static_cast<u32>(my.adaption * full);
-    return w >= 1 ? w : 1;
-  }
 
-  void adapt(Rec& my, bool collided) {
-    if (!params_.adaptive) return;
-    if (collided)
-      my.adaption = std::min(1.0, my.adaption * 1.5);
-    else
-      my.adaption = std::max(params_.adapt_min, my.adaption * 0.75);
-  }
-
-  FunnelParams params_;
   bool eliminate_;
   BinOrder order_;
   McsLock<P> lock_;
@@ -667,9 +467,6 @@ class FunnelStack {
   alignas(kCacheLineBytes) typename P::template Shared<u64> size_{0};
   // Central store: only the lock holder touches cells, in bulk.
   std::vector<typename P::template Shared<u64>> cells_; // contract-lint: allow(unpadded-shared)
-  std::vector<std::unique_ptr<Rec>> records_;
-  /// Layer slots are swapped by unrelated processors — one per cache line.
-  std::vector<std::unique_ptr<Padded<Slot>[]>> layers_;
 };
 
 } // namespace fpq

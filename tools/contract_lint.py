@@ -432,9 +432,9 @@ SELF_TEST_CASES = [
      "u64 p = head.exchange(kAggClosed, MemOrder::kAcqRel);"),
     ("seq-cst", "src/funnel/aggregate.hpp",
      "u64 p = head.exchange(kAggClosed);"),
-    (None, "src/funnel/counter.hpp",
+    (None, "src/funnel/core.hpp",
      "for (u32 i = 0; i < params_.agg_wait; ++i) P::relax();"),
-    (None, "src/funnel/counter.hpp",
+    (None, "src/funnel/core.hpp",
      "Backoff<P> central_backoff(16, 2048);\n"
      "for (;;) {\n"
      "  i64 val = central_.load_relaxed();\n"
@@ -442,7 +442,7 @@ SELF_TEST_CASES = [
      "                                MemOrder::kRelaxed))\n"
      "    break;\n"
      "  central_backoff.spin();\n}"),
-    ("naked-spin", "src/funnel/counter.hpp",
+    ("naked-spin", "src/funnel/core.hpp",
      "for (;;) {\n"
      "  i64 val = central_.load_relaxed();\n"
      "  if (central_.compare_exchange(val, nv, MemOrder::kAcqRel,\n"
