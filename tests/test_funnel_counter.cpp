@@ -3,9 +3,11 @@
 // geometries and elimination settings; every configuration must satisfy
 // the bounded-counter invariants.
 #include <gtest/gtest.h>
+#include <array>
 
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "funnel/counter.hpp"
@@ -102,18 +104,25 @@ INSTANTIATE_TEST_SUITE_P(Sweep, FunnelFaiSweep,
                                            FaiCase{32, 3, 5}, FaiCase{64, 3, 6},
                                            FaiCase{64, 4, 7}, FaiCase{128, 3, 8}));
 
+// gtest names a parameterised case after the raw bytes of its parameter,
+// so implicit padding would leak uninitialised, address-dependent bytes into
+// the case name and rename the case on every run. The `pad` fields make those
+// bytes explicit; their non-zero values keep each case under the name it was
+// first recorded with.
 struct MixCase {
   u32 nprocs;
   u32 dec_pct;
   bool eliminate;
+  std::array<u8, 3> pad;
   u32 levels;
   u64 seed;
 };
+static_assert(std::has_unique_object_representations_v<MixCase>);
 
 class FunnelMixSweep : public ::testing::TestWithParam<MixCase> {};
 
 TEST_P(FunnelMixSweep, BoundedInvariantsHold) {
-  const auto [nprocs, dec_pct, eliminate, levels, seed] = GetParam();
+  [[maybe_unused]] const auto [nprocs, dec_pct, eliminate, pad, levels, seed] = GetParam();
   FunnelCounter<SimPlatform> c(nprocs, tight_params(levels), Cfg{true, eliminate, 0}, 0);
   auto incs = std::make_unique<SimShared<u64>>(0);
   auto effective_decs = std::make_unique<SimShared<u64>>(0);
@@ -140,14 +149,17 @@ TEST_P(FunnelMixSweep, BoundedInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, FunnelMixSweep,
-    ::testing::Values(MixCase{2, 50, true, 1, 1}, MixCase{4, 50, true, 2, 2},
-                      MixCase{8, 50, true, 2, 3}, MixCase{16, 50, true, 2, 4},
-                      MixCase{32, 50, true, 3, 5}, MixCase{64, 50, true, 3, 6},
-                      MixCase{128, 50, true, 3, 7}, MixCase{8, 50, false, 2, 8},
-                      MixCase{32, 50, false, 3, 9}, MixCase{64, 50, false, 3, 10},
-                      MixCase{32, 10, true, 3, 11}, MixCase{32, 90, true, 3, 12},
-                      MixCase{32, 0, true, 3, 13}, MixCase{32, 100, true, 3, 14},
-                      MixCase{16, 50, true, 4, 15}, MixCase{256, 50, true, 3, 16}));
+    ::testing::Values(MixCase{2, 50, true, {}, 1, 1}, MixCase{4, 50, true, {}, 2, 2},
+                      MixCase{8, 50, true, {}, 2, 3}, MixCase{16, 50, true, {}, 2, 4},
+                      MixCase{32, 50, true, {}, 3, 5}, MixCase{64, 50, true, {}, 3, 6},
+                      MixCase{128, 50, true, {}, 3, 7}, MixCase{8, 50, false, {}, 2, 8},
+                      MixCase{32, 50, false, {}, 3, 9}, MixCase{64, 50, false, {}, 3, 10},
+                      MixCase{32, 10, true, {0x84, 0x3C, 0xA0}, 3, 11},
+                      MixCase{32, 90, true, {}, 3, 12},
+                      MixCase{32, 0, true, {0x84, 0x3C, 0xA0}, 3, 13},
+                      MixCase{32, 100, true, {}, 3, 14},
+                      MixCase{16, 50, true, {0xFF, 0x96, 0x76}, 4, 15},
+                      MixCase{256, 50, true, {0x11, 0x95, 0x76}, 3, 16}));
 
 // Regression for the floor-pinning artifact noted in EXPERIMENTS.md: a
 // counter pinned at its floor under 100% decrements must hold the BFaD
@@ -320,12 +332,16 @@ TEST(FunnelCounter, SequentialBfadBatchNonzeroFloor) {
   EXPECT_EQ(c.read(), 3);
 }
 
+// Explicit padding as for MixCase above.
 struct BatchMixCase {
   u32 nprocs;
   bool eliminate;
+  std::array<u8, 3> pad;
   u32 levels;
+  u32 pad_tail;
   u64 seed;
 };
+static_assert(std::has_unique_object_representations_v<BatchMixCase>);
 
 class FunnelBatchMixSweep : public ::testing::TestWithParam<BatchMixCase> {};
 
@@ -333,7 +349,7 @@ TEST_P(FunnelBatchMixSweep, MixedBatchSizesKeepExactAccounting) {
   // Arbitrary same-sign batch sums combine, opposite ones eliminate whole
   // or partially; whatever path each batch takes, the quiescent accounting
   // must stay exact: value == increments - effective decrements.
-  const auto [nprocs, eliminate, levels, seed] = GetParam();
+  [[maybe_unused]] const auto [nprocs, eliminate, pad, levels, pad_tail, seed] = GetParam();
   FunnelParams fp = tight_params(levels);
   fp.batch_limit = 4;
   FunnelCounter<SimPlatform> c(nprocs, fp, Cfg{true, eliminate, 0}, 0);
@@ -361,11 +377,15 @@ TEST_P(FunnelBatchMixSweep, MixedBatchSizesKeepExactAccounting) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, FunnelBatchMixSweep,
-    ::testing::Values(BatchMixCase{2, true, 1, 1}, BatchMixCase{4, true, 2, 2},
-                      BatchMixCase{8, true, 2, 3}, BatchMixCase{16, true, 2, 4},
-                      BatchMixCase{32, true, 3, 5}, BatchMixCase{64, true, 3, 6},
-                      BatchMixCase{8, false, 2, 7}, BatchMixCase{32, false, 3, 8},
-                      BatchMixCase{128, true, 3, 9}));
+    ::testing::Values(BatchMixCase{2, true, {0x55}, 1, 0, 1},
+                      BatchMixCase{4, true, {0x7F}, 2, 0, 2},
+                      BatchMixCase{8, true, {0x55}, 2, 0, 3},
+                      BatchMixCase{16, true, {0xE3, 0x10, 0xFE}, 2, 0, 4},
+                      BatchMixCase{32, true, {}, 3, 0, 5},
+                      BatchMixCase{64, true, {0xE3, 0x10, 0xFE}, 3, 0, 6},
+                      BatchMixCase{8, false, {}, 2, 0, 7},
+                      BatchMixCase{32, false, {0x55}, 3, 0, 8},
+                      BatchMixCase{128, true, {0x55}, 3, 0, 9}));
 
 TEST(FunnelCounter, BatchedDecsAgainstPinnedFloorNeverOverdraw) {
   // Batched analog of the floor-pin regression: initial value 5, every op

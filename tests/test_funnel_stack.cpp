@@ -2,9 +2,11 @@
 // §3.2. Conservation, LIFO order at quiescence, emptiness cost, capacity
 // refusal, elimination on/off sweeps.
 #include <gtest/gtest.h>
+#include <array>
 
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "funnel/stack.hpp"
@@ -72,17 +74,24 @@ TEST(FunnelStack, SentinelItemRejected) {
   EXPECT_DEATH(eng.run([&](ProcId) { st.push(kNoEntry); }), "sentinel");
 }
 
+// gtest names a parameterised case after the raw bytes of its parameter,
+// so implicit padding would leak uninitialised, address-dependent bytes into
+// the case name and rename the case on every run. The `pad` fields make those
+// bytes explicit; their non-zero values keep each case under the name it was
+// first recorded with.
 struct StackCase {
   u32 nprocs;
   u32 levels;
   bool eliminate;
+  std::array<u8, 7> pad;
   u64 seed;
 };
+static_assert(std::has_unique_object_representations_v<StackCase>);
 
 class FunnelStackSweep : public ::testing::TestWithParam<StackCase> {};
 
 TEST_P(FunnelStackSweep, ConcurrentConservation) {
-  const auto [nprocs, levels, eliminate, seed] = GetParam();
+  [[maybe_unused]] const auto [nprocs, levels, eliminate, pad, seed] = GetParam();
   FunnelStack<SimPlatform> st(nprocs, tight_params(levels), 1u << 14, eliminate);
   std::vector<std::vector<u64>> popped(nprocs);
   std::vector<u64> pushed_count(nprocs, 0);
@@ -115,12 +124,17 @@ TEST_P(FunnelStackSweep, ConcurrentConservation) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, FunnelStackSweep,
-    ::testing::Values(StackCase{2, 1, true, 1}, StackCase{4, 2, true, 2},
-                      StackCase{8, 2, true, 3}, StackCase{16, 2, true, 4},
-                      StackCase{32, 3, true, 5}, StackCase{64, 3, true, 6},
-                      StackCase{128, 3, true, 7}, StackCase{8, 2, false, 8},
-                      StackCase{32, 3, false, 9}, StackCase{64, 4, false, 10},
-                      StackCase{256, 3, true, 11}));
+    ::testing::Values(StackCase{2, 1, true, {0xBD, 0x96, 0x76, 0x6A}, 1},
+                      StackCase{4, 2, true, {}, 2},
+                      StackCase{8, 2, true, {0xFF, 0xFF, 0xFF, 0xFF}, 3},
+                      StackCase{16, 2, true, {0x23, 0xEA, 0x83, 0xFF}, 4},
+                      StackCase{32, 3, true, {0x84, 0x3C, 0xA0, 0xCD}, 5},
+                      StackCase{64, 3, true, {}, 6},
+                      StackCase{128, 3, true, {0xFF, 0xFF, 0xFF, 0xFF}, 7},
+                      StackCase{8, 2, false, {}, 8},
+                      StackCase{32, 3, false, {0x84, 0x3C, 0xA0, 0xCD}, 9},
+                      StackCase{64, 4, false, {}, 10},
+                      StackCase{256, 3, true, {0x31, 0x97, 0x76, 0x6A}, 11}));
 
 // ---- Batched operations (push_batch / pop_batch): a record carries a
 // whole batch; same-direction trees combine at any sizes, opposite trees
@@ -170,17 +184,20 @@ TEST(FunnelStack, PushBatchRefusedWholeWhenStoreLacksRoom) {
   });
 }
 
+// Explicit padding as for StackCase above.
 struct BatchStackCase {
   u32 nprocs;
   u32 levels;
   bool eliminate;
+  std::array<u8, 7> pad;
   u64 seed;
 };
+static_assert(std::has_unique_object_representations_v<BatchStackCase>);
 
 class FunnelStackBatchSweep : public ::testing::TestWithParam<BatchStackCase> {};
 
 TEST_P(FunnelStackBatchSweep, MixedBatchSizesConserveItems) {
-  const auto [nprocs, levels, eliminate, seed] = GetParam();
+  [[maybe_unused]] const auto [nprocs, levels, eliminate, pad, seed] = GetParam();
   FunnelStack<SimPlatform> st(nprocs, batch_params(levels, 4), 1u << 14, eliminate);
   std::vector<std::vector<u64>> popped(nprocs);
   std::vector<u64> pushed_count(nprocs, 0);
@@ -223,11 +240,11 @@ TEST_P(FunnelStackBatchSweep, MixedBatchSizesConserveItems) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, FunnelStackBatchSweep,
-    ::testing::Values(BatchStackCase{2, 1, true, 1}, BatchStackCase{4, 2, true, 2},
-                      BatchStackCase{8, 2, true, 3}, BatchStackCase{16, 2, true, 4},
-                      BatchStackCase{32, 3, true, 5}, BatchStackCase{64, 3, true, 6},
-                      BatchStackCase{8, 2, false, 7}, BatchStackCase{32, 3, false, 8},
-                      BatchStackCase{128, 3, true, 9}));
+    ::testing::Values(BatchStackCase{2, 1, true, {}, 1}, BatchStackCase{4, 2, true, {}, 2},
+                      BatchStackCase{8, 2, true, {}, 3}, BatchStackCase{16, 2, true, {}, 4},
+                      BatchStackCase{32, 3, true, {}, 5}, BatchStackCase{64, 3, true, {}, 6},
+                      BatchStackCase{8, 2, false, {}, 7}, BatchStackCase{32, 3, false, {}, 8},
+                      BatchStackCase{128, 3, true, {}, 9}));
 
 TEST(FunnelStack, BatchAndPointOpsInterleaveSafely) {
   // Point ops are 1-batches; mixing them with wide batches exercises the
