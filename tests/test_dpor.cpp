@@ -186,11 +186,30 @@ StressSpec tiny_exhaustive_spec() {
   return s;
 }
 
-TEST(DporHarness, SingleLockScenarioExploresClean) {
-  const auto r = verify::run_exhaustive(tiny_exhaustive_spec());
+// The explored space's exact size pins the harness's mixed phase: every
+// shared access and P::rnd() draw of run_one_execution's loops is a
+// choice point, so a change to the point or batched loop that moves one
+// access changes these counts.
+void expect_scenario_explored(const StressSpec& s, u64 executions, u64 steps) {
+  const auto r = verify::run_exhaustive(s);
   EXPECT_FALSE(r.failure.has_value()) << verify::format_failure(*r.failure);
   EXPECT_TRUE(r.stats.complete()) << sim::to_string(r.stats);
-  EXPECT_GT(r.stats.executions, 1u);
+  EXPECT_EQ(r.stats.executions, executions) << sim::to_string(r.stats);
+  EXPECT_EQ(r.stats.steps, steps) << sim::to_string(r.stats);
+}
+
+TEST(DporHarness, SingleLockScenarioExploresClean) {
+  expect_scenario_explored(tiny_exhaustive_spec(), 21, 703);
+}
+
+TEST(DporHarness, BatchedSingleLockScenarioExploresClean) {
+  // The insert_batch / delete_min_batch branch: at seed 1 processor 0
+  // issues one delete_min_batch of two and processor 1 one insert_batch
+  // of two.
+  StressSpec s = tiny_exhaustive_spec();
+  s.batch = 2;
+  s.ops_per_proc = 2;
+  expect_scenario_explored(s, 413, 23173);
 }
 
 // ---- Replay-spec grammar: the exhaustive keys round-trip, `schedule=`
