@@ -33,38 +33,22 @@ const CounterKind kKinds[] = {
 };
 
 double measure_counter(const CounterKind& kind, u32 nprocs, u32 inc_pct, u32 ops) {
-  sim::Engine engine(nprocs, {}, /*seed=*/7);
   FunnelCounter<SimPlatform>::Config cfg{kind.bounded, kind.eliminate, /*floor=*/0};
   FunnelCounter<SimPlatform> counter(nprocs, FunnelParams::for_procs(nprocs), cfg, 0);
-
-  std::vector<Padded<OpStats>> per_proc(nprocs);
-  engine.run([&](ProcId id) {
-    OpStats& r = *per_proc[id];
-    for (u32 i = 0; i < ops; ++i) {
-      SimPlatform::delay(200);
-      const bool inc = SimPlatform::rnd(100) < inc_pct;
-      const Cycles t0 = SimPlatform::now();
-      if (kind.bounded) {
-        if (inc)
-          counter.fai();
-        else
-          counter.bfad(0);
-      } else {
-        counter.faa(inc ? 1 : -1);
-      }
-      const Cycles dt = SimPlatform::now() - t0;
-      if (inc) {
-        ++r.inserts;
-        r.insert_cycles += dt;
-      } else {
-        ++r.deletes;
-        r.delete_cycles += dt;
-      }
-    }
-  });
-  OpStats total;
-  for (const auto& s : per_proc) total += *s;
-  return total.mean_all();
+  WorkloadParams w;
+  w.nprocs = nprocs;
+  w.ops_per_proc = ops;
+  w.insert_pct = inc_pct;
+  w.seed = 7;
+  const auto op = [&](bool inc) {
+    if (!kind.bounded)
+      counter.faa(inc ? 1 : -1);
+    else if (inc)
+      counter.fai();
+    else
+      counter.bfad(0);
+  };
+  return run_counter_workload<SimPlatform>(op, w).mean_all();
 }
 
 } // namespace

@@ -5,10 +5,7 @@
 // mean — so this table is the paper's Fig. 7 story told in percentiles.
 #include <cstdio>
 
-#include "bench_support/workload.hpp"
-#include "core/registry.hpp"
-#include "platform/sim.hpp"
-#include "sim/engine.hpp"
+#include "bench_support/measure.hpp"
 
 using namespace fpq;
 
@@ -23,20 +20,15 @@ DetailedStats measure_detailed(Algorithm algo, u32 nprocs, u32 ops) {
   WorkloadParams w;
   w.nprocs = nprocs;
   w.ops_per_proc = ops;
-  // run_pq_workload_detailed goes through P::run, which builds a fresh
+  // run_pq_workload goes through P::run, which builds a fresh
   // default-parameter engine — exactly the calibrated machine.
-  return run_pq_workload_detailed<SimPlatform>(*pq, w);
+  return run_pq_workload<SimPlatform>(*pq, w);
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-  u32 ops = 150;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--quick") ops = 40;
-    if (a.rfind("--ops=", 0) == 0) ops = static_cast<u32>(std::stoul(std::string(a.substr(6))));
-  }
+  const u32 ops = bench_ops_per_proc(argc, argv, 150);
   std::printf("\n== Latency tails (cycles), 16 priorities — extension of Fig. 7 ==\n");
   for (u32 nprocs : {64u, 256u}) {
     std::printf("\nP=%u\n%-14s %10s  %s\n", nprocs, "algorithm", "mean",

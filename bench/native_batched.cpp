@@ -85,9 +85,10 @@ int main(int argc, char** argv) {
       const std::string row =
           proto == FunnelProtocol::kAggregate ? name + "/agg" : name;
       for (u32 batch : kBatches) {
-        suite.run_batched_case("PqBatched", row, batch, [algo, proto, batch](u32 nt, u64 ops) {
-          return run_rep(algo, proto, batch, nt, ops);
-        });
+        suite.run_case(
+            "PqBatched", row,
+            [algo, proto, batch](u32 nt, u64 ops) { return run_rep(algo, proto, batch, nt, ops); },
+            batch);
       }
     }
   }
@@ -99,10 +100,13 @@ int main(int argc, char** argv) {
     const std::string name = "Sharded[8]";
     if (suite.selected(name)) {
       for (u32 batch : kBatches) {
-        suite.run_batched_case("PqBatched", name, batch, [cfg, batch](u32 nt, u64 ops) {
-          return run_rep(Algorithm::kSharded, FunnelProtocol::kExchange, batch, nt, ops,
-                         cfg);
-        });
+        suite.run_case(
+            "PqBatched", name,
+            [cfg, batch](u32 nt, u64 ops) {
+              return run_rep(Algorithm::kSharded, FunnelProtocol::kExchange, batch, nt, ops,
+                             cfg);
+            },
+            batch);
       }
     }
   }

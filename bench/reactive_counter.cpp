@@ -10,9 +10,8 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_support/stats.hpp"
+#include "bench_support/measure.hpp"
 #include "bench_support/table.hpp"
-#include "bench_support/workload.hpp"
 #include "container/counters.hpp"
 #include "container/reactive_counter.hpp"
 #include "funnel/counter.hpp"
@@ -46,12 +45,7 @@ double measure(u32 nprocs, u32 ops, Op&& op) {
 } // namespace
 
 int main(int argc, char** argv) {
-  u32 ops = 200;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--quick") ops = 50;
-    if (a.rfind("--ops=", 0) == 0) ops = static_cast<u32>(std::stoul(std::string(a.substr(6))));
-  }
+  const u32 ops = bench_ops_per_proc(argc, argv, 200);
   const std::vector<u32> procs = {2, 8, 32, 64, 128, 256};
   std::vector<std::string> xs;
   for (u32 p : procs) xs.push_back(std::to_string(p));

@@ -31,11 +31,10 @@ void run_one(Algorithm algo, u32 nprocs) {
   WorkloadParams w;
   w.nprocs = nprocs;
   w.ops_per_proc = 150;
-  std::vector<Padded<OpStats>> per_proc(nprocs);
+  std::vector<Padded<DetailedStats>> per_proc(nprocs);
   engine.run(pq_workload_body<SimPlatform>(*pq, w, per_proc));
 
-  OpStats total;
-  for (const auto& s : per_proc) total += *s;
+  const OpStats total = merged(per_proc).ops;
   const auto& mem = engine.mem_stats();
   std::printf(
       "%-14s P=%-3u  latency/op: %6.0f cycles (ins %6.0f, del %6.0f)\n"

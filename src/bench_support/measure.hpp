@@ -39,12 +39,7 @@ inline OpStats measure_sim(const MeasureConfig& cfg) {
   w.local_work = cfg.local_work;
   w.insert_pct = cfg.insert_pct;
   w.seed = cfg.seed;
-  std::vector<Padded<OpStats>> per_proc(w.nprocs);
-  sim::Engine engine(w.nprocs, cfg.machine, w.seed);
-  engine.run(pq_workload_body<SimPlatform>(*pq, w, per_proc));
-  OpStats total;
-  for (const auto& s : per_proc) total += *s;
-  return total;
+  return run_pq_workload<SimPlatform>(*pq, w, cfg.machine).ops;
 }
 
 /// Benchmarks honor --quick (fewer ops; used in CI) and --ops=N.

@@ -100,15 +100,9 @@ bool NativeBenchSuite::selected(const std::string& name) const {
   return std::find(opt_.algos.begin(), opt_.algos.end(), name) != opt_.algos.end();
 }
 
-void NativeBenchSuite::run_case(
-    const std::string& bench, const std::string& algo,
-    const std::function<RepMeasurement(u32, u64)>& rep) {
-  run_batched_case(bench, algo, 0, rep);
-}
-
-void NativeBenchSuite::run_batched_case(
-    const std::string& bench, const std::string& algo, u32 batch,
-    const std::function<RepMeasurement(u32, u64)>& rep) {
+void NativeBenchSuite::run_case(const std::string& bench, const std::string& algo,
+                                const std::function<RepMeasurement(u32, u64)>& rep,
+                                u32 batch) {
   for (u32 nt : opt_.threads) {
     rep(nt, std::max<u64>(opt_.ops / 4, 1)); // warmup, discarded
     std::vector<double> ops_per_sec;

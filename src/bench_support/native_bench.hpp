@@ -126,16 +126,12 @@ class NativeBenchSuite {
   /// untimed warmup repetition then opt.reps measured ones. `rep` must
   /// build a fresh fixture, execute ops_per_thread operations per thread
   /// and report what it measured (construction time excluded by timing
-  /// inside `rep` via timed_parallel).
+  /// inside `rep` via timed_parallel). A nonzero `batch` marks a batched
+  /// cell: it is recorded in the result (the "batch" JSON field), but
+  /// interpreting it is up to `rep`.
   void run_case(const std::string& bench, const std::string& algo,
-                const std::function<RepMeasurement(u32 nthreads, u64 ops_per_thread)>& rep);
-
-  /// run_case for a batched cell: `batch` is recorded in the result (and
-  /// emitted as the "batch" JSON field) but interpreting it is up to the
-  /// caller's rep function.
-  void run_batched_case(
-      const std::string& bench, const std::string& algo, u32 batch,
-      const std::function<RepMeasurement(u32 nthreads, u64 ops_per_thread)>& rep);
+                const std::function<RepMeasurement(u32 nthreads, u64 ops_per_thread)>& rep,
+                u32 batch = 0);
 
   /// Print the human table and write opt.out; returns a process exit code.
   int finish();

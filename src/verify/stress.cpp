@@ -19,6 +19,18 @@ namespace {
 /// even when a spec asks for the linearizability gate (see checker header).
 constexpr std::size_t kMaxLinOps = 24;
 
+ShardConfig shard_config(const StressSpec& spec) {
+  return ShardConfig{spec.shards, spec.sample_c, spec.shard_mode};
+}
+
+/// True when the sharded composite's delete-min samples every shard, so
+/// its c-of-k relaxation has no room to act.
+bool samples_every_shard(const StressSpec& spec) {
+  const ShardConfig cfg = shard_config(spec);
+  const u32 k = cfg.effective_shards(spec.nprocs);
+  return cfg.effective_sample(k) == k;
+}
+
 ScenarioChecks checks_for(const StressSpec& spec) {
   ScenarioChecks c;
   // SkipList's stale delete-bin may legally exceed the Appendix-B rank
@@ -33,9 +45,7 @@ ScenarioChecks checks_for(const StressSpec& spec) {
     // backend head (sharded_pq.hpp's stash-invariant note) and that
     // perturbation legally persists into the solo drain, so the sorted-
     // drain guarantee only exists for sequential exact-mode histories.
-    const ShardConfig cfg{spec.shards, spec.sample_c, spec.shard_mode};
-    const u32 k = cfg.effective_shards(spec.nprocs);
-    c.drain_sorted = cfg.effective_sample(k) == k && spec.nprocs == 1;
+    c.drain_sorted = samples_every_shard(spec) && spec.nprocs == 1;
     c.rank_error = true;
   }
   c.linearizability = spec.check_lin;
@@ -119,51 +129,43 @@ sim::SchedulePolicy policy_from_string(std::string_view name) {
   throw std::invalid_argument("unknown schedule policy: " + std::string(name));
 }
 
-StressSpec spec_from_line(const std::string& line) {
-  StressSpec s;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) {
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos)
-      throw std::invalid_argument("stress spec token without '=': " + tok);
-    const std::string key = tok.substr(0, eq);
-    const std::string val = tok.substr(eq + 1);
-    try {
+void set_spec_key(StressSpec& s, std::string_view key, const std::string& val) {
+  const auto u32_val = [&val] { return static_cast<u32>(std::stoul(val)); };
+  try {
     if (key == "algo") {
       s.algo = algorithm_from_string(val);
     } else if (key == "policy" || key == "schedule") {
-      // "schedule" mirrors the fpq_stress --schedule= flag (ISSUE 10).
+      // "schedule" mirrors the fpq_stress --schedule= flag.
       s.policy = policy_from_string(val);
     } else if (key == "seed") {
       s.seed = std::stoull(val);
     } else if (key == "procs") {
-      s.nprocs = static_cast<u32>(std::stoul(val));
+      s.nprocs = u32_val();
     } else if (key == "ops") {
-      s.ops_per_proc = static_cast<u32>(std::stoul(val));
+      s.ops_per_proc = u32_val();
     } else if (key == "nprio") {
-      s.npriorities = static_cast<u32>(std::stoul(val));
+      s.npriorities = u32_val();
     } else if (key == "ins") {
-      s.insert_percent = static_cast<u32>(std::stoul(val));
+      s.insert_percent = u32_val();
     } else if (key == "permille") {
-      s.perturb_permille = static_cast<u32>(std::stoul(val));
+      s.perturb_permille = u32_val();
     } else if (key == "maxdelay") {
       s.max_delay = std::stoull(val);
     } else if (key == "jitter") {
       s.access_jitter = std::stoull(val);
     } else if (key == "batch") {
-      s.batch = static_cast<u32>(std::stoul(val));
+      s.batch = u32_val();
     } else if (key == "elim") {
-      s.elim = static_cast<u32>(std::stoul(val));
+      s.elim = u32_val();
     } else if (key == "reclaim") {
       s.reclaim = reclaim::policy_from_string(val);
     } else if (key == "funnel") {
       if (!funnel_protocol_from_string(val, s.funnel))
         throw std::invalid_argument("unknown funnel protocol: " + val);
     } else if (key == "shards") {
-      s.shards = static_cast<u32>(std::stoul(val));
+      s.shards = u32_val();
     } else if (key == "c") {
-      s.sample_c = static_cast<u32>(std::stoul(val));
+      s.sample_c = u32_val();
     } else if (key == "mode") {
       if (!shard_policy_from_string(val, s.shard_mode))
         throw std::invalid_argument("unknown shard policy: " + val);
@@ -176,21 +178,39 @@ StressSpec spec_from_line(const std::string& line) {
     } else if (key == "watchdog") {
       s.watchdog = std::stoull(val);
     } else if (key == "preempt_bound") {
-      s.preempt_bound = static_cast<u32>(std::stoul(val));
+      s.preempt_bound = u32_val();
     } else if (key == "max_execs") {
       s.max_execs = std::stoull(val);
     } else if (key == "trace") {
       s.trace = std::stoull(val);
     } else {
-      throw std::invalid_argument("unknown stress spec key: " + key);
+      throw std::invalid_argument("unknown stress spec key: " + std::string(key));
     }
-    } catch (const std::logic_error& e) {
-      // std::sto* throw bare "stoul"; name the offending token instead.
-      throw std::invalid_argument("bad stress spec token '" + tok + "': " + e.what());
-    }
+  } catch (const std::logic_error& e) {
+    // std::sto* throw bare "stoul"; name the offending token instead.
+    throw std::invalid_argument("bad stress spec token '" + std::string(key) + "=" + val +
+                                "': " + e.what());
   }
-  if (s.nprocs < 1 || s.npriorities < 1 || s.batch < 1)
-    throw std::invalid_argument("stress spec needs procs, nprio and batch >= 1");
+}
+
+void validate(const StressSpec& s) {
+  if (s.nprocs < 1 || s.ops_per_proc < 1 || s.npriorities < 1 || s.batch < 1 ||
+      s.insert_percent > 100)
+    throw std::invalid_argument(
+        "stress spec needs procs, ops, nprio and batch >= 1 and ins <= 100");
+}
+
+StressSpec spec_from_line(const std::string& line) {
+  StressSpec s;
+  std::istringstream is(line);
+  std::string tok;
+  while (is >> tok) {
+    const auto eq = tok.find('=');
+    if (eq == std::string::npos)
+      throw std::invalid_argument("stress spec token without '=': " + tok);
+    set_spec_key(s, std::string_view(tok).substr(0, eq), tok.substr(eq + 1));
+  }
+  validate(s);
   return s;
 }
 
@@ -225,7 +245,7 @@ std::optional<StressFailure> run_one_execution(const QueueFactory& make,
   params.seed = spec.seed;
   params.max_batch = spec.batch;
   params.reclaim_policy = spec.reclaim;
-  params.shard = ShardConfig{spec.shards, spec.sample_c, spec.shard_mode};
+  params.shard = shard_config(spec);
   auto pq = make(params);
   HistoryRecorder rec(spec.nprocs);
   std::vector<std::vector<Entry>> ins(spec.nprocs), del(spec.nprocs);
@@ -258,81 +278,67 @@ std::optional<StressFailure> run_one_execution(const QueueFactory& make,
     (void)pq.release();
     return fail("deadlock", "schedule deadlocks: live fibers with nothing enabled");
   };
-  if (spec.batch <= 1) {
-    eng.run([&](ProcId id) {
-      for (u32 i = 0; i < spec.ops_per_proc; ++i) {
-        SimPlatform::heartbeat(); // op boundary: feeds the fault watchdog
-        SimPlatform::delay(SimPlatform::rnd(64));
-        if (SimPlatform::rnd(100) < spec.insert_percent) {
-          const Entry e{static_cast<Prio>(SimPlatform::rnd(spec.npriorities)),
-                        (static_cast<u64>(id) << 20) | i};
-          attempted[id].push_back(e);
-          const Cycles t0 = SimPlatform::now();
-          if (!pq->insert(e.prio, e.item)) {
-            attempted[id].pop_back(); // refused: nothing could have applied
-            if (alloc_plan) continue;
+  // Mixed phase: each processor's ops_per_proc operations are issued in
+  // groups of up to spec.batch; batch == 1 calls the point operations.
+  // Each batched element is recorded as one operation spanning the whole
+  // batch's [invoke, response] window — per pq.hpp a batch IS a set of
+  // concurrent point operations, so the shared window is the element's
+  // real span. Conservation and the quiescent phase checks are
+  // span-independent; the linearizability checker sees batch elements as
+  // mutually concurrent, which is exactly the semantics the interface
+  // promises.
+  const bool point = spec.batch == 1;
+  eng.run([&](ProcId id) {
+    std::vector<Entry> buf(spec.batch);
+    for (u32 i = 0; i < spec.ops_per_proc;) {
+      SimPlatform::heartbeat(); // op boundary: feeds the fault watchdog
+      SimPlatform::delay(SimPlatform::rnd(64));
+      const u32 n = std::min(spec.batch, spec.ops_per_proc - i);
+      const std::span<Entry> ops(buf.data(), n);
+      if (SimPlatform::rnd(100) < spec.insert_percent) {
+        for (u32 j = 0; j < n; ++j)
+          ops[j] = Entry{static_cast<Prio>(SimPlatform::rnd(spec.npriorities)),
+                         (static_cast<u64>(id) << 20) | (i + j)};
+        attempted[id].insert(attempted[id].end(), ops.begin(), ops.end());
+        const Cycles t0 = SimPlatform::now();
+        const u32 landed = point ? u32{pq->insert(ops[0].prio, ops[0].item)}
+                                 : pq->insert_batch(ops);
+        const Cycles t1 = SimPlatform::now();
+        if (landed == n) {
+          for (const Entry& e : ops) {
+            rec.record(OpRecord::insert_op(id, t0, t1, e));
+            ins[id].push_back(e);
+          }
+        } else {
+          // A refused point insert applied nothing. Which elements of a
+          // refused batch landed is unknown, so they stay in `attempted`
+          // for the faulted-run no-fabrication check.
+          if (point) attempted[id].pop_back();
+          if (!alloc_plan) {
             insert_refused = true;
             return;
           }
-          rec.record(OpRecord::insert_op(id, t0, SimPlatform::now(), e));
-          ins[id].push_back(e);
+        }
+      } else {
+        const Cycles t0 = SimPlatform::now();
+        u32 got;
+        if (point) {
+          const std::optional<Entry> e = pq->delete_min();
+          if (e) ops[0] = *e;
+          got = e ? 1 : 0;
         } else {
-          const Cycles t0 = SimPlatform::now();
-          auto e = pq->delete_min();
-          rec.record(OpRecord::delete_op(id, t0, SimPlatform::now(), e));
+          got = pq->delete_min_batch(ops);
+        }
+        const Cycles t1 = SimPlatform::now();
+        for (u32 j = 0; j < n; ++j) {
+          const std::optional<Entry> e = j < got ? std::optional(ops[j]) : std::nullopt;
+          rec.record(OpRecord::delete_op(id, t0, t1, e));
           if (e) del[id].push_back(*e);
         }
       }
-    });
-  } else {
-    // Batched mixed phase: each processor's ops_per_proc operations are
-    // issued in insert_batch / delete_min_batch groups of up to spec.batch.
-    // Each element is recorded as one operation spanning the whole batch's
-    // [invoke, response] window — per pq.hpp a batch IS a set of concurrent
-    // point operations, so the shared window is the element's real span.
-    // Conservation and the quiescent phase checks are span-independent;
-    // the linearizability checker sees batch elements as mutually
-    // concurrent, which is exactly the semantics the interface promises.
-    eng.run([&](ProcId id) {
-      std::vector<Entry> buf(spec.batch);
-      for (u32 i = 0; i < spec.ops_per_proc;) {
-        SimPlatform::heartbeat(); // op boundary: feeds the fault watchdog
-        SimPlatform::delay(SimPlatform::rnd(64));
-        const u32 n = std::min(spec.batch, spec.ops_per_proc - i);
-        if (SimPlatform::rnd(100) < spec.insert_percent) {
-          for (u32 j = 0; j < n; ++j)
-            buf[j] = Entry{static_cast<Prio>(SimPlatform::rnd(spec.npriorities)),
-                           (static_cast<u64>(id) << 20) | (i + j)};
-          for (u32 j = 0; j < n; ++j) attempted[id].push_back(buf[j]);
-          const Cycles t0 = SimPlatform::now();
-          const u32 a = pq->insert_batch(std::span<const Entry>(buf.data(), n));
-          const Cycles t1 = SimPlatform::now();
-          if (a != n && !alloc_plan) {
-            insert_refused = true;
-            return;
-          }
-          if (a == n) {
-            for (u32 j = 0; j < n; ++j) {
-              rec.record(OpRecord::insert_op(id, t0, t1, buf[j]));
-              ins[id].push_back(buf[j]);
-            }
-          } // else: injected refusals — which elements landed is unknown;
-            // the faulted-run no-fabrication check covers them via `attempted`
-        } else {
-          const Cycles t0 = SimPlatform::now();
-          const u32 m = pq->delete_min_batch(std::span<Entry>(buf.data(), n));
-          const Cycles t1 = SimPlatform::now();
-          for (u32 j = 0; j < m; ++j) {
-            rec.record(OpRecord::delete_op(id, t0, t1, buf[j]));
-            del[id].push_back(buf[j]);
-          }
-          for (u32 j = m; j < n; ++j)
-            rec.record(OpRecord::delete_op(id, t0, t1, std::nullopt));
-        }
-        i += n;
-      }
-    });
-  }
+      i += n;
+    }
+  });
 
   if (explorer != nullptr && explorer->deadlocked()) return deadlock_fail();
   if (insert_refused)
@@ -450,10 +456,8 @@ std::optional<StressFailure> run_one_execution(const QueueFactory& make,
     // Exactness holds wherever relaxation has no room to act: a sequential
     // run sampling every shard, or a single-priority key space (no entry
     // can be strictly smaller than another). See ScenarioChecks.
-    const ShardConfig cfg{spec.shards, spec.sample_c, spec.shard_mode};
-    const bool exact_cfg = cfg.effective_sample(cfg.effective_shards(spec.nprocs)) ==
-                           cfg.effective_shards(spec.nprocs);
-    if ((spec.npriorities == 1 || (exact_cfg && spec.nprocs == 1)) && !rr.exact()) {
+    if ((spec.npriorities == 1 || (samples_every_shard(spec) && spec.nprocs == 1)) &&
+        !rr.exact()) {
       std::ostringstream os;
       os << "rank error must be 0 here (npriorities=" << spec.npriorities
          << " nprocs=" << spec.nprocs << "): mean=" << rr.mean << " p99=" << rr.p99
@@ -558,10 +562,11 @@ StressFailure minimize(const StressFailure& f) {
   return minimize_with(registry_factory(f.spec), f, checks_for(f.spec));
 }
 
-std::vector<StressFailure> run_sweep(const StressOptions& opt, std::ostream* progress) {
+std::vector<StressFailure> run_sweep(const StressSweep& sweep, std::ostream* progress) {
   const std::vector<Algorithm>& algos =
-      opt.algorithms.empty() ? all_algorithms() : opt.algorithms;
-  std::vector<sim::SchedulePolicy> policies = opt.policies;
+      sweep.algorithms.empty() ? all_algorithms() : sweep.algorithms;
+  const u64 first_seed = sweep.base.seed;
+  std::vector<sim::SchedulePolicy> policies = sweep.policies;
   if (policies.empty()) {
     policies = {sim::SchedulePolicy::kSmallestClock, sim::SchedulePolicy::kRandomPreempt,
                 sim::SchedulePolicy::kDelayLeader};
@@ -569,8 +574,8 @@ std::vector<StressFailure> run_sweep(const StressOptions& opt, std::ostream* pro
 
   std::vector<StressFailure> failures;
   auto sweep_one = [&](StressSpec spec) {
-    if (failures.size() >= opt.max_failures) return;
-    if (opt.on_scenario) opt.on_scenario(spec);
+    if (failures.size() >= sweep.max_failures) return;
+    if (sweep.on_scenario) sweep.on_scenario(spec);
     if (spec.policy == sim::SchedulePolicy::kExhaustive) {
       // Exhaustive scenarios go through the exploring driver directly so
       // coverage is reported honestly even when the exploration is clean.
@@ -579,45 +584,28 @@ std::vector<StressFailure> run_sweep(const StressOptions& opt, std::ostream* pro
         *progress << "  " << to_string(spec.algo) << " seed " << spec.seed
                   << " exhaustive: " << sim::to_string(r.stats) << "\n";
       if (r.failure) {
-        failures.push_back(opt.minimize_failures ? minimize(*r.failure) : *r.failure);
+        failures.push_back(sweep.minimize_failures ? minimize(*r.failure) : *r.failure);
         if (progress) *progress << format_failure(failures.back());
       }
       return;
     }
     if (auto r = run_scenario(spec)) {
-      failures.push_back(opt.minimize_failures ? minimize(*r) : *r);
+      failures.push_back(sweep.minimize_failures ? minimize(*r) : *r);
       if (progress) *progress << format_failure(failures.back());
     }
   };
 
   for (Algorithm algo : algos) {
     for (sim::SchedulePolicy policy : policies) {
-      StressSpec spec;
+      StressSpec spec = sweep.base;
       spec.algo = algo;
       spec.policy = policy;
-      spec.nprocs = opt.nprocs;
-      spec.ops_per_proc = opt.ops_per_proc;
-      spec.npriorities = opt.npriorities;
-      spec.insert_percent = opt.insert_percent;
-      spec.batch = opt.batch;
-      spec.elim = opt.elim;
-      spec.reclaim = opt.reclaim;
-      spec.funnel = opt.funnel;
-      spec.shards = opt.shards;
-      spec.sample_c = opt.sample_c;
-      spec.shard_mode = opt.shard_mode;
-      spec.race_detect = opt.race_detect;
-      spec.faults = opt.faults;
-      spec.watchdog = opt.watchdog;
-      spec.preempt_bound = opt.preempt_bound;
-      spec.max_execs = opt.max_execs;
       // The baseline policy stays jitter-free: it is the paper's
       // measurement schedule, kept as the known-good reference point. The
       // exhaustive policy owns the schedule outright, so jitter is moot.
-      spec.access_jitter = policy == sim::SchedulePolicy::kSmallestClock ||
-                                   policy == sim::SchedulePolicy::kExhaustive
-                               ? 0
-                               : opt.access_jitter;
+      if (policy == sim::SchedulePolicy::kSmallestClock ||
+          policy == sim::SchedulePolicy::kExhaustive)
+        spec.access_jitter = 0;
       // Under exhaustive exploration the strict-guarantee algorithms get
       // the Wing-Gong checker inline (the sub-sweep below is redundant
       // when every schedule is visited anyway).
@@ -625,10 +613,10 @@ std::vector<StressFailure> run_sweep(const StressOptions& opt, std::ostream* pro
           (algo == Algorithm::kSingleLock || algo == Algorithm::kLockfreeSkipList))
         spec.check_lin = true;
       const std::size_t before = failures.size();
-      for (u64 seed = opt.seed_base; seed < opt.seed_base + opt.seeds; ++seed) {
+      for (u64 seed = first_seed; seed < first_seed + sweep.seeds; ++seed) {
         spec.seed = seed;
         sweep_one(spec);
-        if (failures.size() >= opt.max_failures) break;
+        if (failures.size() >= sweep.max_failures) break;
       }
       // SingleLock holds one lock across whole operations (the paper's one
       // unconditional guarantee) and the lock-free skiplist's claiming CAS
@@ -636,23 +624,23 @@ std::vector<StressFailure> run_sweep(const StressOptions& opt, std::ostream* pro
       // small histories.
       if ((algo == Algorithm::kSingleLock || algo == Algorithm::kLockfreeSkipList) &&
           policy != sim::SchedulePolicy::kExhaustive &&
-          failures.size() < opt.max_failures) {
+          failures.size() < sweep.max_failures) {
         StressSpec lin = spec;
         lin.nprocs = 3;
         lin.ops_per_proc = 4;
         lin.check_lin = true;
-        for (u64 seed = opt.seed_base; seed < opt.seed_base + opt.seeds; ++seed) {
+        for (u64 seed = first_seed; seed < first_seed + sweep.seeds; ++seed) {
           lin.seed = seed;
           sweep_one(lin);
-          if (failures.size() >= opt.max_failures) break;
+          if (failures.size() >= sweep.max_failures) break;
         }
       }
       if (progress) {
         *progress << to_string(algo) << " x " << to_string(policy) << ": seeds "
-                  << opt.seed_base << ".." << (opt.seed_base + opt.seeds - 1) << " "
+                  << first_seed << ".." << (first_seed + sweep.seeds - 1) << " "
                   << (failures.size() == before ? "ok" : "FAILED") << "\n";
       }
-      if (failures.size() >= opt.max_failures) return failures;
+      if (failures.size() >= sweep.max_failures) return failures;
     }
   }
   return failures;

@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/registry.hpp"
@@ -117,6 +118,13 @@ struct StressSpec {
 std::string to_line(const StressSpec& s);
 /// Parses to_line output (order-insensitive); throws std::invalid_argument.
 StressSpec spec_from_line(const std::string& line);
+/// Sets one replay-line key (`schedule` is an alias of `policy`); throws
+/// std::invalid_argument for an unknown key or a malformed value. The one
+/// parser behind spec_from_line and fpq_stress's workload flags.
+void set_spec_key(StressSpec& s, std::string_view key, const std::string& val);
+/// Throws std::invalid_argument unless procs, ops, nprio and batch are
+/// >= 1 and ins <= 100. spec_from_line applies it; so does fpq_stress.
+void validate(const StressSpec& s);
 /// Parses a SchedulePolicy display name; throws std::invalid_argument.
 sim::SchedulePolicy policy_from_string(std::string_view name);
 
@@ -189,39 +197,20 @@ StressFailure minimize(const StressFailure& f);
 StressFailure minimize_with(const QueueFactory& make, const StressFailure& f,
                             const ScenarioChecks& checks);
 
-struct StressOptions {
+/// A sweep: one base scenario fanned across algorithms x policies x seeds.
+struct StressSweep {
+  /// Every scenario starts from this spec; algo, policy and seed are set
+  /// per scenario (seeds run from base.seed up). Its jitter applies to the
+  /// perturbing policies only: the smallest-clock baseline and the
+  /// exhaustive policy always run jitter-free.
+  StressSpec base = [] {
+    StressSpec s;
+    s.access_jitter = 64;
+    return s;
+  }();
   std::vector<Algorithm> algorithms;         // empty = all nine
-  std::vector<sim::SchedulePolicy> policies; // empty = all three
-  u64 seed_base = 1;
+  std::vector<sim::SchedulePolicy> policies; // empty = the three randomized
   u32 seeds = 32;
-  u32 nprocs = 4;
-  u32 ops_per_proc = 12;
-  u32 npriorities = 8;
-  u32 insert_percent = 60;
-  /// Per-access jitter used for the perturbing policies (the
-  /// smallest-clock baseline always runs jitter-free).
-  Cycles access_jitter = 64;
-  /// Batch width / elimination slots / reclamation policy forwarded into
-  /// every spec.
-  u32 batch = 1;
-  u32 elim = 0;
-  reclaim::Policy reclaim = reclaim::Policy::kHazardPointer;
-  FunnelProtocol funnel = FunnelProtocol::kExchange;
-  /// Sharded-composite knobs forwarded into every spec (ignored by the
-  /// other algorithms): shard count, sample width, access-mode policy.
-  u32 shards = 0;
-  u32 sample_c = 0;
-  ShardPolicyKind shard_mode = ShardPolicyKind::kAdaptive;
-  /// Forwarded into every spec (StressSpec::race_detect).
-  bool race_detect = false;
-  /// Fault plan / watchdog budget forwarded into every spec — a sweep over
-  /// a hostile plan across the whole registry (StressSpec::faults).
-  sim::FaultPlan faults;
-  u64 watchdog = 0;
-  /// Exhaustive-policy knobs forwarded into every spec (ignored by the
-  /// randomized policies): preemption bound and execution budget.
-  u32 preempt_bound = 0;
-  u64 max_execs = u64{1} << 20;
   bool minimize_failures = true;
   /// Stop sweeping after this many failures (each is minimized).
   u32 max_failures = 1;
@@ -235,7 +224,7 @@ struct StressOptions {
 /// paper classifies as linearizable with a hard guarantee (SingleLock), an
 /// additional small-history linearizability sweep runs per policy x seed.
 /// Returns the (minimized) failures; empty means the gate is clean.
-std::vector<StressFailure> run_sweep(const StressOptions& opt,
+std::vector<StressFailure> run_sweep(const StressSweep& sweep,
                                      std::ostream* progress = nullptr);
 
 } // namespace fpq::verify

@@ -55,6 +55,25 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+// Workload flags: each is an alias of one replay-line key (stress.hpp),
+// set through the same parser as --replay. The CLI's --policy is the
+// Sharded access mode; the schedule policy is --policies/--schedule.
+struct SpecFlag {
+  const char* flag;
+  const char* key;
+};
+constexpr SpecFlag kSpecFlags[] = {
+    {"--seed-base", "seed"},    {"--procs", "procs"},
+    {"--ops", "ops"},           {"--nprio", "nprio"},
+    {"--insert-pct", "ins"},    {"--jitter", "jitter"},
+    {"--batch", "batch"},       {"--elim", "elim"},
+    {"--reclaim", "reclaim"},   {"--funnel", "funnel"},
+    {"--shards", "shards"},     {"--sample-c", "c"},
+    {"--policy", "mode"},       {"--faults", "faults"},
+    {"--watchdog", "watchdog"}, {"--preempt-bound", "preempt_bound"},
+    {"--max-execs", "max_execs"},
+};
+
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options]\n"
@@ -99,7 +118,8 @@ int main(int argc, char** argv) {
 
   std::signal(SIGABRT, on_abort);
 
-  StressOptions opt;
+  StressSweep sweep;
+  StressSpec& base = sweep.base;
   bool quiet = false;
   bool liveness = false;
   // The liveness battery has its own workload defaults (deeper runs so the
@@ -109,64 +129,36 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto val = [&arg]() { return arg.substr(arg.find('=') + 1); };
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const std::string val = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    auto is = [&](const char* flag) { return eq != std::string::npos && name == flag; };
+    const SpecFlag* spec_flag = nullptr;
+    for (const SpecFlag& f : kSpecFlags)
+      if (is(f.flag)) spec_flag = &f;
     try {
-      if (arg.rfind("--algos=", 0) == 0) {
-        for (const std::string& name : split_csv(val()))
-          opt.algorithms.push_back(fpq::algorithm_from_string(name));
-      } else if (arg.rfind("--policies=", 0) == 0) {
-        for (const std::string& name : split_csv(val()))
-          opt.policies.push_back(policy_from_string(name));
-      } else if (arg.rfind("--schedule=", 0) == 0) {
-        opt.policies.push_back(policy_from_string(val()));
-      } else if (arg.rfind("--preempt-bound=", 0) == 0) {
-        opt.preempt_bound = static_cast<fpq::u32>(std::stoul(val()));
-      } else if (arg.rfind("--max-execs=", 0) == 0) {
-        opt.max_execs = std::stoull(val());
-      } else if (arg.rfind("--seeds=", 0) == 0) {
-        opt.seeds = static_cast<fpq::u32>(std::stoul(val()));
-      } else if (arg.rfind("--seed-base=", 0) == 0) {
-        opt.seed_base = std::stoull(val());
-      } else if (arg.rfind("--procs=", 0) == 0) {
-        opt.nprocs = static_cast<fpq::u32>(std::stoul(val()));
-        procs_set = true;
-      } else if (arg.rfind("--ops=", 0) == 0) {
-        opt.ops_per_proc = static_cast<fpq::u32>(std::stoul(val()));
-        ops_set = true;
-      } else if (arg.rfind("--nprio=", 0) == 0) {
-        opt.npriorities = static_cast<fpq::u32>(std::stoul(val()));
-      } else if (arg.rfind("--insert-pct=", 0) == 0) {
-        opt.insert_percent = static_cast<fpq::u32>(std::stoul(val()));
-      } else if (arg.rfind("--jitter=", 0) == 0) {
-        opt.access_jitter = std::stoull(val());
-      } else if (arg.rfind("--batch=", 0) == 0) {
-        opt.batch = static_cast<fpq::u32>(std::stoul(val()));
-      } else if (arg.rfind("--elim=", 0) == 0) {
-        opt.elim = static_cast<fpq::u32>(std::stoul(val()));
-      } else if (arg.rfind("--reclaim=", 0) == 0) {
-        opt.reclaim = fpq::reclaim::policy_from_string(val());
-      } else if (arg.rfind("--funnel=", 0) == 0) {
-        if (!fpq::funnel_protocol_from_string(val(), opt.funnel))
-          throw std::invalid_argument("expected exchange or aggregate");
-      } else if (arg.rfind("--shards=", 0) == 0) {
-        opt.shards = static_cast<fpq::u32>(std::stoul(val()));
-      } else if (arg.rfind("--sample-c=", 0) == 0) {
-        opt.sample_c = static_cast<fpq::u32>(std::stoul(val()));
-      } else if (arg.rfind("--policy=", 0) == 0) {
-        if (!fpq::shard_policy_from_string(val(), opt.shard_mode))
-          throw std::invalid_argument("expected direct, delegate or adaptive");
-      } else if (arg.rfind("--max-failures=", 0) == 0) {
-        opt.max_failures = static_cast<fpq::u32>(std::stoul(val()));
-      } else if (arg.rfind("--faults=", 0) == 0) {
-        opt.faults = fpq::sim::fault_plan_from_string(val());
-      } else if (arg.rfind("--watchdog=", 0) == 0) {
-        opt.watchdog = std::stoull(val());
+      if (spec_flag != nullptr) {
+        set_spec_key(base, spec_flag->key, val);
+        procs_set |= name == "--procs";
+        ops_set |= name == "--ops";
+      } else if (is("--algos")) {
+        for (const std::string& algo : split_csv(val))
+          sweep.algorithms.push_back(fpq::algorithm_from_string(algo));
+      } else if (is("--policies")) {
+        for (const std::string& policy : split_csv(val))
+          sweep.policies.push_back(policy_from_string(policy));
+      } else if (is("--schedule")) {
+        sweep.policies.push_back(policy_from_string(val));
+      } else if (is("--seeds")) {
+        sweep.seeds = static_cast<fpq::u32>(std::stoul(val));
+      } else if (is("--max-failures")) {
+        sweep.max_failures = static_cast<fpq::u32>(std::stoul(val));
       } else if (arg == "--liveness") {
         liveness = true;
       } else if (arg == "--race-detect") {
-        opt.race_detect = true;
+        set_spec_key(base, "race", "1");
       } else if (arg == "--no-minimize") {
-        opt.minimize_failures = false;
+        sweep.minimize_failures = false;
       } else if (arg == "--quiet") {
         quiet = true;
       } else if (arg == "--replay") {
@@ -186,20 +178,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (opt.nprocs < 1 || opt.ops_per_proc < 1 || opt.npriorities < 1 ||
-      opt.insert_percent > 100 || opt.seeds < 1 || opt.batch < 1) {
-    std::cerr << "need --procs/--ops/--nprio/--seeds/--batch >= 1 and "
-                 "--insert-pct <= 100\n";
+  try {
+    validate(base);
+    if (sweep.seeds < 1) throw std::invalid_argument("--seeds must be >= 1");
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
     return usage(argv[0]);
   }
 
   if (liveness) {
     LivenessBatteryOptions lopt;
-    lopt.algorithms = opt.algorithms;
-    lopt.reclaim = opt.reclaim;
-    lopt.seed = opt.seed_base;
-    if (procs_set) lopt.nprocs = opt.nprocs;
-    if (ops_set) lopt.ops_per_proc = opt.ops_per_proc;
+    lopt.algorithms = sweep.algorithms;
+    lopt.reclaim = base.reclaim;
+    lopt.seed = base.seed;
+    if (procs_set) lopt.nprocs = base.nprocs;
+    if (ops_set) lopt.ops_per_proc = base.ops_per_proc;
     const std::vector<LivenessRow> rows =
         run_liveness_battery(lopt, quiet ? nullptr : &std::cout);
     std::cout << format_liveness_table(rows);
@@ -239,8 +232,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  opt.on_scenario = remember_spec;
-  std::vector<StressFailure> failures = run_sweep(opt, quiet ? nullptr : &std::cout);
+  sweep.on_scenario = remember_spec;
+  std::vector<StressFailure> failures = run_sweep(sweep, quiet ? nullptr : &std::cout);
   if (!failures.empty()) {
     for (const StressFailure& f : failures) std::cerr << format_failure(f);
     return 1;

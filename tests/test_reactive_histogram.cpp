@@ -200,7 +200,7 @@ TEST(DetailedWorkload, HistogramsMatchOpCounts) {
   WorkloadParams w;
   w.nprocs = 8;
   w.ops_per_proc = 50;
-  const DetailedStats s = run_pq_workload_detailed<SimPlatform>(*pq, w);
+  const DetailedStats s = run_pq_workload<SimPlatform>(*pq, w);
   EXPECT_EQ(s.all.count(), 8u * 50u);
   EXPECT_EQ(s.insert.count(), s.ops.inserts);
   EXPECT_EQ(s.del.count(), s.ops.deletes);

@@ -47,7 +47,7 @@ TEST(Workload, OpCountsAndMixRespected) {
   w.nprocs = 4;
   w.ops_per_proc = 100;
   w.insert_pct = 100; // all inserts
-  const OpStats s = run_pq_workload<SimPlatform>(*pq, w);
+  const OpStats s = run_pq_workload<SimPlatform>(*pq, w).ops;
   EXPECT_EQ(s.inserts, 400u);
   EXPECT_EQ(s.deletes, 0u);
   EXPECT_GT(s.insert_cycles, 0u);
@@ -60,7 +60,7 @@ TEST(Workload, CoinFlipMixIsRoughlyBalanced) {
   w.nprocs = 8;
   w.ops_per_proc = 200;
   w.insert_pct = 50;
-  const OpStats s = run_pq_workload<SimPlatform>(*pq, w);
+  const OpStats s = run_pq_workload<SimPlatform>(*pq, w).ops;
   EXPECT_EQ(s.ops(), 1600u);
   EXPECT_GT(s.inserts, 650u);
   EXPECT_LT(s.inserts, 950u);
@@ -76,8 +76,8 @@ TEST(Workload, DeterministicForFixedSeedWithinProcess) {
   WorkloadParams w;
   w.nprocs = 4;
   w.ops_per_proc = 50;
-  const OpStats a = run_pq_workload<SimPlatform>(*pq1, w);
-  const OpStats b = run_pq_workload<SimPlatform>(*pq2, w);
+  const OpStats a = run_pq_workload<SimPlatform>(*pq1, w).ops;
+  const OpStats b = run_pq_workload<SimPlatform>(*pq2, w).ops;
   // Same seed, same op mix — counts must agree exactly (latency depends on
   // host addresses, which differ between the two queue instances).
   EXPECT_EQ(a.inserts, b.inserts);
