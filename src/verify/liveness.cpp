@@ -3,6 +3,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "pq/pq.hpp"
 
@@ -153,13 +154,21 @@ std::vector<LivenessRow> run_liveness_battery(const LivenessBatteryOptions& opt,
   // Ordinals are access counts: tens of operations in, so the victim dies
   // mid-structure — holding whatever lock its op was in — rather than at a
   // quiescent boundary. Access patterns are deterministic (fixed seed), so
-  // the ordinals are chosen to land inside a critical section for every
-  // lock-based queue somewhere across the list: a queue's lock windows are
+  // the ordinals are chosen to land inside a critical section for most
+  // lock-based queues somewhere across the list: a queue's lock windows are
   // often narrow and periodic (a round-number sweep can miss them all), so
-  // the list mixes depths and off-cycle ordinals.
+  // the list mixes depths and off-cycle ordinals. Every queue runs all of
+  // them; lock-free queues must survive each one.
   const char* plans[] = {"crash@p1a100", "crash@p1a121", "crash@p1a200",
                          "crash@p1a212", "crash@p1a350", "crash@p1a500",
                          "crash@p1a1500", "stall@p1a250", "stall@p1a900"};
+
+  // A declared-blocking queue none of the fixed plans caught gets a
+  // deterministic crash-ordinal sweep that stops at the first plan that
+  // blocks: whether a hand-picked ordinal lands inside a lock window
+  // depends on the queue's exact access cadence, which any change to the
+  // queue (or to a backend it composes) shifts.
+  constexpr u64 kSweepFirst = 50, kSweepLast = 1997, kSweepStep = 3;
 
   std::vector<LivenessRow> rows;
   for (Algorithm algo : algos) {
@@ -168,7 +177,7 @@ std::vector<LivenessRow> run_liveness_battery(const LivenessBatteryOptions& opt,
     row.declared = progress_guarantee(algo);
     row.all_survivors_completed = true;
     row.observed_blocking = false;
-    for (const char* plan : plans) {
+    auto run_plan = [&](const std::string& plan) {
       LivenessSpec spec;
       spec.algo = algo;
       spec.reclaim = opt.reclaim;
@@ -185,6 +194,11 @@ std::vector<LivenessRow> run_liveness_battery(const LivenessBatteryOptions& opt,
                   << " survivors completed, " << r.survivors_blocked
                   << " detected blocked\n";
       }
+    };
+    for (const char* plan : plans) run_plan(plan);
+    if (row.declared == ProgressGuarantee::kBlocking) {
+      for (u64 a = kSweepFirst; a <= kSweepLast && !row.observed_blocking; a += kSweepStep)
+        run_plan("crash@p1a" + std::to_string(a));
     }
     // A declared-lock-free queue must shrug off every plan. A declared-
     // blocking queue passes by terminating with detection (structural by

@@ -165,9 +165,10 @@ TEST(LivenessBattery, DeclaredMatchesObservedForAllQueues) {
           << "of a crash plan failed to complete";
       EXPECT_FALSE(row.observed_blocking) << to_string(row.algo);
     } else {
-      // The plan list is chosen so every lock-based queue's critical
-      // section is hit somewhere (liveness.cpp); detection — not survival
-      // — is their contract.
+      // The fixed plans, backed by a deterministic crash-ordinal sweep
+      // for a queue they all miss (liveness.cpp), hit every lock-based
+      // queue's critical section; detection — not survival — is their
+      // contract.
       EXPECT_TRUE(row.observed_blocking)
           << to_string(row.algo) << " is lock-based but no plan in the "
           << "battery caught a survivor blocked on the victim's lock";
