@@ -13,6 +13,11 @@
 //   * surviving batches apply to the central store in one short MCS
 //     critical section, which always completes.
 //
+// Adaption (§3.1): a processor that has seen no collisions lately skips
+// the layers and tries the central lock once (fast_path). Finding it held
+// is the contention signal: the batch goes through the funnel instead of
+// queueing behind the holder, as a lost CAS sends the counter there.
+//
 // Batches (Roh et al. '24) of the same direction combine at *any* sizes,
 // under a buffer-capacity guard instead of the paper's equal-size rule.
 // Item/verdict routing is positional: a tree root's buffer holds its own
@@ -242,9 +247,6 @@ class FunnelStack : private FunnelCore<P, FunnelStack<P>, funnel_detail::StackPa
   static constexpr u32 kStFull = 3;   // remainder refused: stack full
   static constexpr u64 kNoItem = kNoEntry;
 
-  /// Central-lock acquisition above this is read as contention.
-  static constexpr Cycles kFastPathBudget = 300;
-
   static u32 batch_for(const FunnelParams& p) { return p.batch_limit << p.levels; }
 
   /// Runs the funnel for one batch of k pushes (delta=+k) or k pops
@@ -259,13 +261,13 @@ class FunnelStack : private FunnelCore<P, FunnelStack<P>, funnel_detail::StackPa
 
   // ---- Central-object hooks (contract in funnel/core.hpp).
 
-  /// Adaptive fast path: apply the batch directly under the central lock;
-  /// a slow acquisition is the contention signal that re-opens the funnel.
+  /// Adaptive fast path: one try at the central lock. A held lock is the
+  /// contention signal (§3.1): raise adaption and take the funnel, where
+  /// the batch can eliminate or combine instead of queueing behind it.
   std::optional<u64> fast_path(Rec& my) {
-    const Cycles t0 = P::now();
-    const auto r = central_attempt(my);
-    if (P::now() - t0 > kFastPathBudget) my.adaption = std::min(1.0, my.adaption * 1.5);
-    return r;
+    if (lock_.try_acquire()) return apply_and_release(my, my.mark.load_relaxed());
+    my.adaption = std::min(1.0, my.adaption * 1.5);
+    return std::nullopt;
   }
 
   bool eliminates() const { return eliminate_; }
@@ -373,11 +375,15 @@ class FunnelStack : private FunnelCore<P, FunnelStack<P>, funnel_detail::StackPa
   /// distributes; the locked apply always completes.
   std::optional<u64> central_attempt(Rec& my) {
     const u64 mark = my.mark.load_relaxed();
-    u32 st;
-    {
-      McsGuard<P> g(lock_);
-      st = apply_locked(my, my.local_sum, mark);
-    }
+    lock_.acquire();
+    return apply_and_release(my, mark);
+  }
+
+  /// Lock held: applies the batch from my `mark`, releases, distributes,
+  /// and returns the own items accepted.
+  u64 apply_and_release(Rec& my, u64 mark) {
+    const u32 st = apply_locked(my, my.local_sum, mark);
+    lock_.release();
     distribute(my, st);
     if (st == kStPopped) return 0;
     return st == kStFull ? mark : my.own_n;

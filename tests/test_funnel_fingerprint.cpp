@@ -120,25 +120,25 @@ using enum FunnelProtocol;
 // invalidations, module-wait cycles, clock sum, items delivered.
 const Cell kCells[] = {
     {"FunnelTree/exchange/point", kFunnelTree, kExchange, 1, BinOrder::kLifo,
-     {67793, 19880, 12391, 453681, 3378593, 347}},
+     {96590, 23548, 15554, 779214, 3493540, 356}},
     {"FunnelTree/exchange/batch16", kFunnelTree, kExchange, 16, BinOrder::kLifo,
-     {641225, 139217, 96439, 763329, 19887400, 5705}},
+     {713918, 147956, 103863, 853667, 19025256, 5391}},
     {"FunnelTree/aggregate/point", kFunnelTree, kAggregate, 1, BinOrder::kLifo,
-     {40411, 28567, 21537, 14298240, 20369095, 359}},
+     {38662, 27774, 21218, 14823515, 20899820, 367}},
     {"FunnelTree/aggregate/batch16", kFunnelTree, kAggregate, 16, BinOrder::kLifo,
-     {234805, 134706, 93458, 40423710, 66269318, 5427}},
+     {257875, 169988, 131955, 88908363, 132509750, 5313}},
     {"LinearFunnels/exchange/point", kLinearFunnels, kExchange, 1, BinOrder::kLifo,
-     {78928, 24058, 13828, 70719, 5093285, 373}},
+     {106618, 26741, 16379, 122446, 3983702, 369}},
     {"LinearFunnels/exchange/batch16", kLinearFunnels, kExchange, 16, BinOrder::kLifo,
-     {569475, 135917, 82357, 310368, 25203518, 5796}},
+     {650109, 144572, 91098, 382968, 23905023, 5981}},
     {"LinearFunnels/aggregate/point", kLinearFunnels, kAggregate, 1, BinOrder::kLifo,
-     {30037, 20551, 10240, 67654, 5047192, 364}},
+     {40621, 25919, 14360, 377355, 5852543, 372}},
     {"LinearFunnels/aggregate/batch16", kLinearFunnels, kAggregate, 16, BinOrder::kLifo,
-     {225843, 128605, 68753, 258417, 27343356, 5888}},
+     {223407, 127897, 67928, 300919, 27260205, 5915}},
     {"LinearFunnels/fifo/exchange/batch16", kLinearFunnels, kExchange, 16, BinOrder::kFifo,
-     {542873, 125390, 67871, 285790, 23590362, 5462}},
+     {653235, 147874, 83008, 393949, 23413004, 5863}},
     {"LinearFunnels/fifo/aggregate/batch16", kLinearFunnels, kAggregate, 16, BinOrder::kFifo,
-     {217531, 125654, 57379, 233282, 29153198, 5957}},
+     {223004, 126955, 59059, 288817, 29480257, 5814}},
 };
 
 TEST(FunnelFingerprint, SimTotalsAreBitIdentical) {
