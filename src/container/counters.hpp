@@ -9,7 +9,7 @@
 //   McsCounter — the counter guarded by an MCS lock; the paper uses these
 //                for the deep (low-traffic) tree levels of FunnelTree.
 //
-// The funnel-based counter lives in src/funnel/bounded_counter.hpp. All
+// The funnel-based counter lives in src/funnel/counter.hpp. All
 // three expose the same interface so tree algorithms can mix them per node.
 #pragma once
 

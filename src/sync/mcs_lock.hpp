@@ -17,7 +17,8 @@
 // scheduler-monopolizing hot loop. The lock itself is, of course,
 // blocking — a dead holder strands the queue; that is the property the
 // liveness battery classifies, and McsLock::try_acquire is the primitive
-// the bounded-wait (try_*) degraded paths build on.
+// the bounded-wait (try_*) degraded paths and the funnel bin's fast path
+// build on.
 #pragma once
 
 #include <memory>
@@ -69,8 +70,10 @@ class McsLock {
     succ->locked.store_release(0); // hand off: publishes the critical section
   }
 
-  /// Single attempt: succeeds only when the lock is free (used by the
-  /// SkipList delete path, paper Fig. 12's `acquired`).
+  /// Single attempt: succeeds only when the lock is free. Used by the
+  /// SkipList delete path (paper Fig. 12's `acquired`), by the funnel
+  /// bin's fast path (a held lock sends the batch into the funnel) and
+  /// by the bounded-wait try_* paths.
   bool try_acquire() {
     QNode& me = node(P::self());
     me.next.store_relaxed(nullptr);
