@@ -11,11 +11,21 @@
 // Nodes leave memory through reclaim::Domain (hazard pointers or epochs,
 // runtime-selected via PqParams::reclaim_policy).
 //
+// ## Node layout
+//
+// A node is one allocation: a 24-byte header (key, item, height, state)
+// followed by exactly `height` tower words, so alloc and dealloc both pass
+// Node::bytes(height). Heights are geometric (mean 2), so a typical node
+// is 40 bytes rather than the 120 a kMaxHeight array would take. Only the
+// head and tail sentinels carry all kMaxHeight levels. No code reads a
+// word at or above a node's own height: a node is reached at level l only
+// through a level-l list, which only nodes taller than l join.
+//
 // ## Word format
 //
-// Every next[] word packs a node pointer with two low tag bits:
+// Every tower word packs a node pointer with two low tag bits:
 //
-//   kMarkBit   (on u->next[0]) — the node u->next[0] POINTS TO is
+//   kMarkBit   (on u->next(0)) — the node u->next(0) POINTS TO is
 //              logically deleted. Marks are claimed by the deleting CAS
 //              (w -> w|kMarkBit) and, because inserts always CAS against
 //              an unmarked expected word and claims always target the
@@ -116,7 +126,8 @@
 // see reclaim.hpp.
 #pragma once
 
-#include <array>
+#include <cstddef>
+#include <memory>
 #include <new>
 #include <optional>
 
@@ -146,7 +157,7 @@ class LockfreeSkipListPq {
     FPQ_ASSERT_MSG(head_ != nullptr && tail_ != nullptr, "sentinel allocation failed");
     head_->state.store_relaxed(1); // sentinels are never "being inserted"
     tail_->state.store_relaxed(1);
-    for (u32 l = 0; l < kMaxHeight; ++l) head_->next[l].store_relaxed(pack(tail_));
+    for (u32 l = 0; l < kMaxHeight; ++l) head_->next(l).store_relaxed(pack(tail_));
   }
 
   ~LockfreeSkipListPq() {
@@ -154,9 +165,9 @@ class LockfreeSkipListPq {
     // nodes plus the not-yet-restructured deleted prefix) is owned by the
     // list; retired nodes were unlinked first, so the sets are disjoint and
     // the domain's destructor frees the latter.
-    Node* cur = ptr(head_->next[0].load_acquire());
+    Node* cur = ptr(head_->next(0).load_acquire());
     while (cur != tail_) {
-      Node* nxt = ptr(cur->next[0].load_acquire());
+      Node* nxt = ptr(cur->next(0).load_acquire());
       free_node(cur); // quiescent owner teardown
       cur = nxt;
     }
@@ -181,9 +192,9 @@ class LockfreeSkipListPq {
     for (;;) {
       search(g, prio, h, preds, succs);
       // Pre-publication store; the splice CAS below releases it.
-      n->next[0].store_relaxed(succs[0]);
+      n->next(0).store_relaxed(succs[0]);
       u64 expect = succs[0]; // search guarantees an unmarked, unpoisoned word
-      if (preds[0]->next[0].compare_exchange(expect, pack(n), MemOrder::kRelease,
+      if (preds[0]->next(0).compare_exchange(expect, pack(n), MemOrder::kRelease,
                                              MemOrder::kRelaxed)) {
         break;
       }
@@ -194,9 +205,9 @@ class LockfreeSkipListPq {
     for (u32 l = 1; l < h; ++l) {
       // contract-lint: allow(naked-spin) lock-free retry (see above)
       for (;;) {
-        n->next[l].store_release(succs[l]);
+        n->next(l).store_release(succs[l]);
         u64 expect = succs[l];
-        if (preds[l]->next[l].compare_exchange(expect, pack(n), MemOrder::kRelease,
+        if (preds[l]->next(l).compare_exchange(expect, pack(n), MemOrder::kRelease,
                                                MemOrder::kRelaxed)) {
           break;
         }
@@ -212,7 +223,7 @@ class LockfreeSkipListPq {
   restart:
     Node* pred = head_; // never retired: needs no hazard
     u32 cs = kSlotHop;  // the hop slot holding ptr(w); the other holds pred
-    u64 w = g.protect(cs, pred->next[0]);
+    u64 w = g.protect(cs, pred->next(0));
     u32 offset = 0;
     for (;;) {
       if (poisoned(w)) {
@@ -227,11 +238,11 @@ class LockfreeSkipListPq {
         ++offset;
         pred = x;
         cs = other_hop_slot(cs);
-        w = g.protect(cs, pred->next[0]);
+        w = g.protect(cs, pred->next(0));
         continue;
       }
       u64 expect = w;
-      if (pred->next[0].compare_exchange(expect, w | kMarkBit, MemOrder::kAcqRel,
+      if (pred->next(0).compare_exchange(expect, w | kMarkBit, MemOrder::kAcqRel,
                                          MemOrder::kRelaxed)) {
         // Claimed the first live node: the linearization point.
         ++offset;
@@ -245,7 +256,7 @@ class LockfreeSkipListPq {
       }
       // Lost to an insert in front of us or to another claim; re-protect
       // the new successor and retry from the same pred.
-      w = g.protect(cs, pred->next[0]);
+      w = g.protect(cs, pred->next(0));
     }
   }
 
@@ -268,9 +279,9 @@ class LockfreeSkipListPq {
     u64 succs[kMaxHeight];
     for (;;) {
       search(g, prio, h, preds, succs);
-      n->next[0].store_relaxed(succs[0]);
+      n->next(0).store_relaxed(succs[0]);
       u64 expect = succs[0];
-      if (preds[0]->next[0].compare_exchange(expect, pack(n), MemOrder::kRelease,
+      if (preds[0]->next(0).compare_exchange(expect, pack(n), MemOrder::kRelease,
                                              MemOrder::kRelaxed)) {
         break;
       }
@@ -281,9 +292,9 @@ class LockfreeSkipListPq {
     }
     for (u32 l = 1; l < h; ++l) {
       for (;;) {
-        n->next[l].store_release(succs[l]);
+        n->next(l).store_release(succs[l]);
         u64 expect = succs[l];
-        if (preds[l]->next[l].compare_exchange(expect, pack(n), MemOrder::kRelease,
+        if (preds[l]->next(l).compare_exchange(expect, pack(n), MemOrder::kRelease,
                                                MemOrder::kRelaxed)) {
           break;
         }
@@ -304,7 +315,7 @@ class LockfreeSkipListPq {
   restart:
     Node* pred = head_; // the hop slots rotate exactly as in delete_min
     u32 cs = kSlotHop;
-    u64 w = g.protect(cs, pred->next[0]);
+    u64 w = g.protect(cs, pred->next(0));
     u32 offset = 0;
     for (;;) {
       if (poisoned(w)) {
@@ -319,11 +330,11 @@ class LockfreeSkipListPq {
         ++offset;
         pred = x;
         cs = other_hop_slot(cs);
-        w = g.protect(cs, pred->next[0]);
+        w = g.protect(cs, pred->next(0));
         continue;
       }
       u64 expect = w;
-      if (pred->next[0].compare_exchange(expect, w | kMarkBit, MemOrder::kAcqRel,
+      if (pred->next(0).compare_exchange(expect, w | kMarkBit, MemOrder::kAcqRel,
                                          MemOrder::kRelaxed)) {
         ++offset;
         out = Entry{static_cast<Prio>(x->key), x->item};
@@ -332,7 +343,7 @@ class LockfreeSkipListPq {
       }
       if (!clock.tick_backoff()) return PqStatus::kTimeout;
       if (poisoned(expect)) goto restart;
-      w = g.protect(cs, pred->next[0]);
+      w = g.protect(cs, pred->next(0));
     }
   }
 
@@ -371,18 +382,24 @@ class LockfreeSkipListPq {
   static_assert(kSlotHop % 2 == 0, "other_hop_slot flips the low bit");
   static constexpr u32 other_hop_slot(u32 s) { return s ^ 1; }
 
+  /// A 24-byte header followed in the same allocation by exactly `height`
+  /// tower words (see "Node layout" in the file comment).
   struct Node {
     const u64 key;
     const u64 item;
     const u32 height;
     /// 0 while the insert is still raising the tower; 1 once fully linked.
     Shared<u32> state;
-    // One tower is traversed as a unit by a single hop; padding it would
-    // multiply the node size by the height.
-    // contract-lint: allow(unpadded-shared) tower is a unit, see above
-    std::array<Shared<u64>, kMaxHeight> next;
     Node(u64 k, u64 it, u32 h) : key(k), item(it), height(h) {}
+
+    static constexpr std::size_t bytes(u32 h) { return sizeof(Node) + h * sizeof(Shared<u64>); }
+    /// Level l's word; only l < height exists.
+    Shared<u64>& next(u32 l) {
+      return *std::launder(reinterpret_cast<Shared<u64>*>(this + 1) + l);
+    }
   };
+  static_assert(sizeof(Node) == 24 && sizeof(Node) % alignof(Shared<u64>) == 0,
+                "the tower words follow the header unpadded and aligned");
 
   static Node* ptr(u64 w) { return reinterpret_cast<Node*>(w & ~kTagMask); }
   static u64 pack(Node* n) { return reinterpret_cast<u64>(n); }
@@ -393,14 +410,18 @@ class LockfreeSkipListPq {
   // can inject allocation failure and the counting allocator can audit the
   // queue for leaks/double-frees (sim backend, DESIGN.md §12).
   static Node* alloc_node(u64 k, u64 it, u32 h) {
-    void* mem = P::try_alloc(sizeof(Node));
+    void* mem = P::try_alloc(Node::bytes(h));
     if (mem == nullptr) return nullptr;
-    return new (mem) Node(k, it, h);
+    Node* n = new (mem) Node(k, it, h);
+    std::uninitialized_default_construct_n(reinterpret_cast<Shared<u64>*>(n + 1), h);
+    return n;
   }
 
   static void free_node(Node* n) {
+    const u32 h = n->height;
+    std::destroy_n(&n->next(0), h);
     n->~Node();
-    P::dealloc(n, sizeof(Node));
+    P::dealloc(n, Node::bytes(h));
   }
 
   static void retire_node(reclaim::Guard<P>& g, Node* n) {
@@ -431,7 +452,7 @@ class LockfreeSkipListPq {
     Node* promoted = head_; // the pred last promoted into a level slot
     for (i32 l = kMaxHeight - 1; l >= 0; --l) {
       const u32 ul = static_cast<u32>(l);
-      u64 w = g.protect(cs, pred->next[ul]);
+      u64 w = g.protect(cs, pred->next(ul));
       for (;;) {
         if (poisoned(w)) {
           // `pred`'s own level-l word is poisoned: pred is mid-retirement.
@@ -449,13 +470,13 @@ class LockfreeSkipListPq {
             goto restart;
           }
           pred = head_;
-          w = g.protect(cs, pred->next[ul]);
+          w = g.protect(cs, pred->next(ul));
           continue;
         }
         Node* cur = ptr(w);
         const bool advance = cur != tail_ && (marked(w) || cur->key <= key);
         if (!advance) break;
-        if (l > 0 && poisoned(cur->next[ul].load_acquire())) {
+        if (l > 0 && poisoned(cur->next(ul).load_acquire())) {
           // Skip-before rule (upper levels): `cur` is being retired here.
           // Its word still names the preserved successor, so the list
           // stays navigable, but no CAS against it can ever succeed — so
@@ -469,7 +490,7 @@ class LockfreeSkipListPq {
         }
         pred = cur; // stays in cs; the old pred's slot takes the successor
         cs = other_hop_slot(cs);
-        w = g.protect(cs, pred->next[ul]);
+        w = g.protect(cs, pred->next(ul));
       }
       preds[l] = pred;
       succs[l] = w;
@@ -497,10 +518,10 @@ class LockfreeSkipListPq {
     // waits for it: a crashed inserter only pins the prefix from its node
     // on. If an earlier restructure already swung the head past
     // `boundary`, the walk ends on an unmarked word and we do nothing.
-    const u64 first_w = head_->next[0].load_acquire();
+    const u64 first_w = head_->next(0).load_acquire();
     u64 w = first_w;
     while (marked(w) && ptr(w) != boundary && ptr(w)->state.load_acquire() == 1)
-      w = ptr(w)->next[0].load_acquire();
+      w = ptr(w)->next(0).load_acquire();
     Node* const front = ptr(w);
     if (marked(w) && front != ptr(first_w)) {
       // Swing the head past the prefix. The head's bottom word is stable
@@ -508,7 +529,7 @@ class LockfreeSkipListPq {
       // expected value and other restructurers are excluded by the flag —
       // so this CAS cannot lose.
       u64 expect_w = first_w;
-      const bool swung = head_->next[0].compare_exchange(
+      const bool swung = head_->next(0).compare_exchange(
           expect_w, pack(front) | kMarkBit, MemOrder::kAcqRel, MemOrder::kRelaxed);
       FPQ_ASSERT_MSG(swung, "head word moved while the restructure flag was held");
       // Walk the prefix again, retiring in chain order. Its bottom words
@@ -524,7 +545,7 @@ class LockfreeSkipListPq {
         // Bottom level: the head swing already unlinked the whole prefix,
         // and the mark bit makes the word un-CAS-able for inserts and
         // claims, so an unconditional poison (seq_cst, §8.2) is enough here.
-        Node* next = ptr(u->next[0].exchange(kPoisonBit));
+        Node* next = ptr(u->next(0).exchange(kPoisonBit));
         retire_node(g, u);
         u = next;
       }
@@ -537,13 +558,13 @@ class LockfreeSkipListPq {
   /// seq_cst CAS: this is the store whose visibility the hazard-pointer
   /// validating load races against (DESIGN.md §8.2).
   void poison_preserving(Node* u, u32 l) {
-    u64 w = u->next[l].load();
+    u64 w = u->next(l).load();
     // contract-lint: allow(naked-spin) lock-free retry: the CAS fails only
     // when a concurrent insert spliced a successor after u.
     for (;;) {
       FPQ_ASSERT_MSG(!poisoned(w), "level poisoned twice");
       u64 expect = w;
-      if (u->next[l].compare_exchange(expect, w | kPoisonBit)) return;
+      if (u->next(l).compare_exchange(expect, w | kPoisonBit)) return;
       w = expect; // an insert spliced a successor after u; re-poison over it
     }
   }
@@ -557,17 +578,17 @@ class LockfreeSkipListPq {
     // a failed CAS, which means another unlink or splice committed.
     for (;;) {
       Node* pred = head_;
-      u64 w = pred->next[l].load_acquire();
+      u64 w = pred->next(l).load_acquire();
       while (ptr(w) != u) {
         if (ptr(w) == tail_ || poisoned(w)) return; // never spliced, or gone
         pred = ptr(w);
-        w = pred->next[l].load_acquire();
+        w = pred->next(l).load_acquire();
       }
       // u's word is already poisoned (phase 1); install the pointer part,
       // re-read after the poison so a just-landed splice is carried over.
-      const u64 s = pack(ptr(u->next[l].load_acquire()));
+      const u64 s = pack(ptr(u->next(l).load_acquire()));
       u64 expect = w;
-      if (pred->next[l].compare_exchange(expect, s, MemOrder::kRelease,
+      if (pred->next(l).compare_exchange(expect, s, MemOrder::kRelease,
                                          MemOrder::kRelaxed)) {
         return;
       }
