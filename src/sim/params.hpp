@@ -93,7 +93,9 @@ struct MachineParams {
   /// Cost of a processor-local pause (spin-loop hint).
   Cycles t_pause = 4;
 
-  /// Stack size for each simulated processor's fiber.
+  /// Stack size for each simulated processor's fiber. This is address space
+  /// reserved per fiber (sim/fiber.hpp); only the pages a fiber touches
+  /// become resident.
   std::size_t fiber_stack_bytes = 128 * 1024;
 
   /// Schedule-exploration settings (default: plain smallest-clock order).

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
+#include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "platform/sim.hpp"
@@ -208,6 +211,100 @@ TEST(SimEngine, StatsCountAccesses) {
 TEST(SimEngine, NowOutsideFibersIsZero) {
   sim::Engine eng(1);
   EXPECT_EQ(eng.now(), 0u);
+}
+
+// ---- Fiber stacks (sim/fiber.hpp).
+
+// Recurses until its frames reach `bytes` below `top`. Each frame writes
+// every 256th byte of a 1 KiB volatile array, so no page of the range is
+// skipped, and the use of the array after the call keeps the recursion.
+[[gnu::noinline]] u64 recurse_below(std::uintptr_t top, std::size_t bytes) {
+  volatile unsigned char frame[1024];
+  for (std::size_t i = 0; i < sizeof(frame); i += 256) frame[i] = 1;
+  const auto here = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  if (top - here >= bytes) return frame[0];
+  return recurse_below(top, bytes) + frame[0];
+}
+
+TEST(SimEngine, FiberStackOverflowFaultsAtGuardPage) {
+  // Overruns a 64 KiB stack's low end by about 2 KiB, less than a page. A
+  // guard page turns the first write there into SIGSEGV. Without one, an
+  // overrun this short can land in writable memory and go unnoticed.
+  sim::MachineParams m;
+  m.fiber_stack_bytes = 64 * 1024;
+  auto overflow = [&m] {
+    sim::Engine eng(2, m);
+    eng.run([](ProcId) {
+      recurse_below(reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)), 66 * 1024);
+    });
+  };
+#if defined(__SANITIZE_ADDRESS__)
+  // AddressSanitizer catches the fault, reports it and exits.
+  EXPECT_DEATH(overflow(), "AddressSanitizer");
+#else
+  EXPECT_EXIT(overflow(), ::testing::KilledBySignal(SIGSEGV), "");
+#endif
+}
+
+TEST(SimEngine, FiberStacksAreRecycledAcrossRunsAndEngines) {
+  // Each host thread keeps its own free list, so each part runs on a fresh
+  // thread, whose count of mapped stacks starts at zero.
+  auto word = std::make_unique<SimShared<u64>>(0);
+  auto body = [&word](ProcId) {
+    for (int i = 0; i < 20; ++i) {
+      SimPlatform::delay(SimPlatform::rnd(40));
+      word->fetch_add(1);
+    }
+  };
+  auto clocks = [](const sim::Engine& eng) {
+    std::vector<Cycles> c(eng.proc_stats().size());
+    std::transform(eng.proc_stats().begin(), eng.proc_stats().end(), c.begin(),
+                   [](const sim::ProcStats& s) { return s.clock; });
+    return c;
+  };
+
+  std::size_t mapped = 0;
+  std::thread([&] {
+    for (int e = 0; e < 100; ++e) {
+      sim::Engine eng(8);
+      eng.run(body);
+      eng.run(body);
+    }
+    mapped = sim::fiber_stacks_mapped();
+  }).join();
+  EXPECT_EQ(mapped, 8u);
+
+  // A crashed fiber leaves its stack with live frames and never unwinds.
+  // The next Engine's run on that stack must match one on fresh stacks.
+  sim::ProcOutcome crashed_outcome = sim::ProcOutcome::kCompleted;
+  std::size_t mapped_after_crash = 0;
+  std::vector<Cycles> on_recycled;
+  std::thread([&] {
+    {
+      sim::Engine eng(8, {}, 3);
+      sim::FaultPlan plan;
+      plan.events.push_back({sim::FaultKind::kCrash, 5, 7, 0});
+      eng.set_fault_plan(std::move(plan));
+      eng.run(body);
+      crashed_outcome = eng.fault_report().outcomes[5];
+    }
+    mapped_after_crash = sim::fiber_stacks_mapped();
+    sim::Engine eng(8, {}, 11);
+    eng.run(body);
+    on_recycled = clocks(eng);
+    mapped = sim::fiber_stacks_mapped();
+  }).join();
+  EXPECT_EQ(crashed_outcome, sim::ProcOutcome::kCrashed);
+  EXPECT_EQ(mapped_after_crash, 8u);
+  EXPECT_EQ(mapped, 8u) << "the run after the crash mapped new stacks";
+
+  std::vector<Cycles> on_fresh;
+  std::thread([&] {
+    sim::Engine eng(8, {}, 11);
+    eng.run(body);
+    on_fresh = clocks(eng);
+  }).join();
+  EXPECT_EQ(on_recycled, on_fresh);
 }
 
 // ---- Schedule-exploration policies (MachineParams::sched).
