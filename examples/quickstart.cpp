@@ -6,8 +6,8 @@
 // The library's public API is three pieces:
 //   * PqParams        — the queue's shape (priority range, processor bound);
 //   * make_priority_queue<Platform>(Algorithm, params) — type-erased factory
-//     over the eight algorithms (the paper's seven plus a lock-free
-//     skip list);
+//     over the nine algorithms (the paper's seven, a lock-free skip
+//     list, and the sharded composite over lock-free skip lists);
 //   * Platform::run(nprocs, fn) — execute fn(proc_id) on every processor
 //     (std::threads natively, simulated processors under SimPlatform).
 #include <atomic>

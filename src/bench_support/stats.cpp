@@ -1,59 +1,8 @@
 #include "bench_support/stats.hpp"
 
-#include <cmath>
 #include <cstdio>
 
 namespace fpq {
-
-namespace {
-
-// Two-sided 95% Student's t critical values by degrees of freedom; reps
-// beyond 30 are close enough to the normal quantile.
-double t95(u32 df) {
-  static constexpr double kTable[] = {
-      0,     12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
-      2.228, 2.201,  2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093,
-      2.086, 2.080,  2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045,
-      2.042};
-  if (df == 0) return 0.0;
-  if (df < sizeof(kTable) / sizeof(kTable[0])) return kTable[df];
-  return 1.960;
-}
-
-} // namespace
-
-Summary summarize(const std::vector<double>& xs) {
-  Summary s;
-  s.n = static_cast<u32>(xs.size());
-  if (s.n == 0) return s;
-  double sum = 0;
-  for (double x : xs) sum += x;
-  s.mean = sum / s.n;
-  if (s.n == 1) {
-    s.ci95_lo = s.ci95_hi = s.mean;
-    return s;
-  }
-  double ss = 0;
-  for (double x : xs) ss += (x - s.mean) * (x - s.mean);
-  s.sd = std::sqrt(ss / (s.n - 1));
-  const double half = t95(s.n - 1) * s.sd / std::sqrt(static_cast<double>(s.n));
-  s.ci95_lo = s.mean - half;
-  s.ci95_hi = s.mean + half;
-  return s;
-}
-
-Summary summarize_nonnegative(const std::vector<double>& xs) {
-  Summary s = summarize(xs);
-  if (s.ci95_lo < 0.0) s.ci95_lo = 0.0;
-  // Clamp the upper bound too: latency deltas derived from coarse timers
-  // can go (slightly) negative rep-to-rep, and a sample that is mostly
-  // negative noise would otherwise print a fully negative interval in the
-  // bench tables while the lower bound reads 0 — worse than inconsistent,
-  // it inverts the interval (hi < lo). Both bounds live in the metric's
-  // domain; the invariant is ci95_lo <= max(mean, 0) and ci95_lo <= ci95_hi.
-  if (s.ci95_hi < 0.0) s.ci95_hi = 0.0;
-  return s;
-}
 
 OpStats& OpStats::operator+=(const OpStats& o) {
   inserts += o.inserts;

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -30,31 +29,6 @@ struct OpStats {
 
   OpStats& operator+=(const OpStats& o);
 };
-
-/// Summary statistics over benchmark repetitions: sample mean, sample
-/// standard deviation and a 95% confidence interval for the mean
-/// (Student's t for small n, since bench reps are typically 3..10).
-struct Summary {
-  double mean = 0.0;
-  double sd = 0.0;
-  double ci95_lo = 0.0;
-  double ci95_hi = 0.0;
-  u32 n = 0;
-};
-
-/// Summarize a set of repetition measurements. n == 0 returns all zeros;
-/// n == 1 returns a degenerate interval [x, x].
-Summary summarize(const std::vector<double>& xs);
-
-/// summarize() for metrics that cannot be negative (throughput, latency):
-/// clamps BOTH ci95_lo and ci95_hi at 0, since Student's t intervals on
-/// tiny high-variance samples otherwise dip below the metric's domain.
-/// For nonnegative inputs only the lower bound can go negative; clamping
-/// the upper bound as well keeps the interval well-formed (lo <= hi) even
-/// for timer-skew latency deltas whose samples dip below zero. mean/sd are
-/// reported unclamped — they describe the sample, the interval describes
-/// the metric.
-Summary summarize_nonnegative(const std::vector<double>& xs);
 
 /// "12.7" style thousands-of-cycles formatting used by the paper's Fig. 8.
 std::string fmt_kcycles(double cycles);

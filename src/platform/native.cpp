@@ -2,16 +2,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "common/assert.hpp"
 
@@ -29,37 +23,11 @@ struct NativeCtx {
 thread_local NativeCtx g_ctx;
 
 NativePlatform::SpinConfig g_spin_config{};
-bool g_pin_threads = false;
-
-#if defined(__linux__)
-void pin_to_cpu(std::thread& t, u32 cpu) {
-  const unsigned ncpus = std::thread::hardware_concurrency();
-  if (ncpus == 0) return; // topology unknown; pinning is best-effort
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % ncpus, &set);
-  const int rc = pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
-  if (rc != 0) {
-    // Common in cgroup-restricted containers where the target cpu is not
-    // in our cpuset; the run is still correct, just unpinned, so warn
-    // (once) instead of failing the benchmark.
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true))
-      std::fprintf(stderr,
-                   "fpq: pinning worker to cpu %u failed (error %d); "
-                   "continuing unpinned\n",
-                   cpu % ncpus, rc);
-  }
-}
-#endif
-
 } // namespace
 
 void NativePlatform::set_spin_config(const SpinConfig& cfg) { g_spin_config = cfg; }
 
 const NativePlatform::SpinConfig& NativePlatform::spin_config() { return g_spin_config; }
-
-void NativePlatform::set_pin_threads(bool pin) { g_pin_threads = pin; }
 
 void NativePlatform::escalate() {
   if (g_spin_config.escalation == SpinEscalation::kSleep)
@@ -102,12 +70,7 @@ void NativePlatform::run(u32 nprocs, const std::function<void(ProcId)>& fn, u64 
 
   std::vector<std::thread> threads;
   threads.reserve(nprocs);
-  for (u32 i = 0; i < nprocs; ++i) {
-    threads.emplace_back(worker, i);
-#if defined(__linux__)
-    if (g_pin_threads) pin_to_cpu(threads.back(), i);
-#endif
-  }
+  for (u32 i = 0; i < nprocs; ++i) threads.emplace_back(worker, i);
   while (ready.load(std::memory_order_acquire) != nprocs) std::this_thread::yield();
   go.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();

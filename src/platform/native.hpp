@@ -1,13 +1,11 @@
 // NativePlatform: the Platform policy over std::atomic and std::thread.
 // Used for correctness testing under real concurrency and for the native
-// benchmarks (bench/native_pq, bench/native_components); the paper-scale
+// workloads of the repository benchmark (perfbench/); the paper-scale
 // experiments use SimPlatform.
 //
 // This backend gives the memory-ordering contract its teeth: MemOrder
-// annotations map 1:1 onto std::atomic orders. Building with
-// -DFPQ_FORCE_SEQ_CST collapses every annotation back to seq_cst — the
-// escape hatch the benchmarks use to measure what the explicit orders buy
-// (and a bisection aid if a relaxation is ever suspect).
+// annotations map 1:1 onto std::atomic orders, so the TSan gate and the
+// litmus tests in tests/test_memory_order.cpp check the declared orders.
 #pragma once
 
 #include <atomic>
@@ -20,13 +18,8 @@
 
 namespace fpq {
 
-/// MemOrder -> std::memory_order. With FPQ_FORCE_SEQ_CST everything is
-/// sequentially consistent, annotations included.
+/// MemOrder -> std::memory_order.
 constexpr std::memory_order to_std_order(MemOrder o) {
-#ifdef FPQ_FORCE_SEQ_CST
-  (void)o;
-  return std::memory_order_seq_cst;
-#else
   switch (o) {
     case MemOrder::kRelaxed: return std::memory_order_relaxed;
     case MemOrder::kAcquire: return std::memory_order_acquire;
@@ -35,22 +28,16 @@ constexpr std::memory_order to_std_order(MemOrder o) {
     case MemOrder::kSeqCst: return std::memory_order_seq_cst;
   }
   return std::memory_order_seq_cst;
-#endif
 }
 
 /// CAS failure orders may not be release-flavored; clamp to the legal load
 /// order so callers can pass the success order's natural weakening.
 constexpr std::memory_order to_std_failure_order(MemOrder o) {
-#ifdef FPQ_FORCE_SEQ_CST
-  (void)o;
-  return std::memory_order_seq_cst;
-#else
   switch (o) {
     case MemOrder::kRelease: return std::memory_order_relaxed;
     case MemOrder::kAcqRel: return std::memory_order_acquire;
     default: return to_std_order(o);
   }
-#endif
 }
 
 template <SharedWord T>
@@ -117,12 +104,8 @@ struct NativePlatform {
   static const SpinConfig& spin_config();
 
   /// Runs fn(ProcId) on `nprocs` OS threads, started together behind a
-  /// barrier. Rethrows the first exception a worker threw. When
-  /// set_pin_threads(true) was called, worker i is pinned to hardware CPU
-  /// (i mod hardware_concurrency) — stabilizes benchmark numbers on
-  /// multi-socket boxes; pointless (but harmless) on one core.
+  /// barrier. Rethrows the first exception a worker threw.
   static void run(u32 nprocs, const std::function<void(ProcId)>& fn, u64 seed = 1);
-  static void set_pin_threads(bool pin);
 
   static ProcId self();
   static u32 nprocs();

@@ -80,9 +80,8 @@
 //   T    fetch_sub(T, MemOrder = kSeqCst)   (integral T only)
 //
 // The orders are *annotations of intent with teeth on both backends*: the
-// native backend maps them 1:1 onto std::atomic orders (unless built with
-// -DFPQ_FORCE_SEQ_CST, the before/after measurement escape hatch), while
-// the simulator executes every access sequentially consistently — its
+// native backend maps them 1:1 onto std::atomic orders, while the
+// simulator executes every access sequentially consistently — its
 // fibers interleave at access granularity under a global clock, so relaxed
 // annotations cannot weaken it. An algorithm is therefore correct iff it
 // is correct on the *native* mapping. Three checks enforce that: the TSan

@@ -1,11 +1,9 @@
-// Unit tests for src/common (PRNG, entry packing, bit helpers, padding)
-// and the repetition statistics in src/bench_support/stats.hpp.
+// Unit tests for src/common (PRNG, entry packing, bit helpers, padding).
 #include <gtest/gtest.h>
 
 #include <set>
 #include <vector>
 
-#include "bench_support/stats.hpp"
 #include "common/bits.hpp"
 #include "common/entry.hpp"
 #include "common/padded.hpp"
@@ -112,57 +110,6 @@ TEST(Padded, OccupiesFullCacheLines) {
   const auto a = reinterpret_cast<std::uintptr_t>(&v[0]);
   const auto b = reinterpret_cast<std::uintptr_t>(&v[1]);
   EXPECT_GE(b - a, static_cast<std::uintptr_t>(kCacheLineBytes));
-}
-
-TEST(Stats, SummarizeSmallSample) {
-  const Summary s = summarize({10.0, 12.0, 14.0});
-  EXPECT_DOUBLE_EQ(s.mean, 12.0);
-  EXPECT_EQ(s.n, 3u);
-  EXPECT_LT(s.ci95_lo, s.mean);
-  EXPECT_GT(s.ci95_hi, s.mean);
-  EXPECT_NEAR(s.mean - s.ci95_lo, s.ci95_hi - s.mean, 1e-9); // symmetric
-}
-
-TEST(Stats, NonnegativeSummaryClampsLowBoundAtZero) {
-  // High-variance tiny samples push the Student's t interval below zero
-  // (t95(1) = 12.7): exactly the BENCH_native.json ci95_lo < 0 artifact.
-  const std::vector<double> xs{1.0e6, 2.5e7};
-  const Summary raw = summarize(xs);
-  ASSERT_LT(raw.ci95_lo, 0.0) << "sample no longer triggers the clamp";
-  const Summary s = summarize_nonnegative(xs);
-  EXPECT_EQ(s.ci95_lo, 0.0);
-  // Only the lower bound changes, and the mean stays inside the interval.
-  EXPECT_DOUBLE_EQ(s.mean, raw.mean);
-  EXPECT_DOUBLE_EQ(s.sd, raw.sd);
-  EXPECT_DOUBLE_EQ(s.ci95_hi, raw.ci95_hi);
-  EXPECT_LE(s.ci95_lo, s.mean);
-  EXPECT_LE(s.mean, s.ci95_hi);
-}
-
-TEST(Stats, NonnegativeSummaryLeavesPositiveIntervalsAlone) {
-  const std::vector<double> xs{9.0, 10.0, 11.0, 10.0};
-  const Summary raw = summarize(xs);
-  ASSERT_GT(raw.ci95_lo, 0.0);
-  const Summary s = summarize_nonnegative(xs);
-  EXPECT_DOUBLE_EQ(s.ci95_lo, raw.ci95_lo);
-  EXPECT_DOUBLE_EQ(s.ci95_hi, raw.ci95_hi);
-}
-
-TEST(Stats, NonnegativeSummaryClampsBothBoundsForNegativeDeltas) {
-  // Latency deltas from coarse timers can come out mostly negative; the
-  // raw interval then sits entirely below zero. v1 clamped only ci95_lo,
-  // so the table printed an inverted interval (hi < lo). Both bounds must
-  // land in the metric's domain and stay ordered.
-  const std::vector<double> xs{-5.0, -4.0, -6.0, -5.0};
-  const Summary raw = summarize(xs);
-  ASSERT_LT(raw.ci95_hi, 0.0) << "sample no longer exercises the hi clamp";
-  const Summary s = summarize_nonnegative(xs);
-  EXPECT_EQ(s.ci95_lo, 0.0);
-  EXPECT_EQ(s.ci95_hi, 0.0);
-  EXPECT_LE(s.ci95_lo, s.ci95_hi);
-  // mean/sd still describe the sample, unclamped.
-  EXPECT_DOUBLE_EQ(s.mean, raw.mean);
-  EXPECT_DOUBLE_EQ(s.sd, raw.sd);
 }
 
 } // namespace
