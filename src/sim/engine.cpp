@@ -41,7 +41,36 @@ void Engine::schedule(ProcId p) {
 
 void Engine::yield_running() {
   FPQ_ASSERT(running_ != kNoProc);
-  procs_[running_].fiber.yield_out();
+  Proc& p = procs_[running_];
+  if (explorer_ != nullptr || p.blocked) {
+    // The explorer picks in its own loop, and a parked fiber has no queue
+    // entry: both go back to the run loop.
+    p.fiber.yield_out();
+    return;
+  }
+  // Requeue and pick exactly as the run loop would, but here, and switch
+  // straight to the choice: one switch instead of two, none if it is us.
+  schedule(running_);
+  const ProcId next = pick_next();
+  if (next == running_) return;
+  running_ = next;
+  p.fiber.hand_off(procs_[next].fiber);
+}
+
+ProcId Engine::pick_next() {
+  while (!runq_.empty()) {
+    auto [clk, sq, pid] = runq_.top();
+    runq_.pop();
+    Proc& p = procs_[pid];
+    if (p.fiber.done() || p.blocked) continue; // defensively drop stale entries
+    // Every clock change is immediately followed by a fresh queue entry
+    // and blocked processors have no entry, so entries are never stale.
+    FPQ_ASSERT_MSG(clk == p.clock, "scheduler entry out of date");
+    (void)sq;
+    if (perturb(pid)) continue; // policy delayed the fiber; pick again
+    return pid;
+  }
+  return kNoProc;
 }
 
 bool Engine::perturb(ProcId pid) {
@@ -84,8 +113,7 @@ void Engine::on_access(const void* addr, AccessKind kind, MemOrder order,
   p.clock = r.completion;
   ++stats_[running_].accesses;
   if (detector_)
-    detector_->on_access(running_, memory_.word_key(addr), kind, order, rmw_applied,
-                         p.clock);
+    detector_->on_access(running_, r.word_key, kind, order, rmw_applied, p.clock);
   for (ProcId w : r.woken) {
     Proc& wp = procs_[w];
     FPQ_ASSERT(wp.blocked);
@@ -96,7 +124,7 @@ void Engine::on_access(const void* addr, AccessKind kind, MemOrder order,
   if (explorer_ != nullptr) {
     // Every access is a choice point: report the visible event and yield
     // unconditionally (hit elision would hide schedule points).
-    explorer_->on_event(running_, memory_.word_key(addr), kind, rmw_applied);
+    explorer_->on_event(running_, r.word_key, kind, rmw_applied);
     yield_running();
     return;
   }
@@ -262,7 +290,7 @@ void Engine::run(const std::function<void(ProcId)>& body) {
                      "explorer picked a processor that is not enabled");
       Proc& p = procs_[pid];
       running_ = pid;
-      p.fiber.switch_in(&sched_ctx_);
+      p.fiber.switch_in(sched_ctx_);
       running_ = kNoProc;
       if (p.fiber.done()) {
         --live;
@@ -271,25 +299,19 @@ void Engine::run(const std::function<void(ProcId)>& body) {
       }
     }
   } else {
-    while (!runq_.empty()) {
-      auto [clk, sq, pid] = runq_.top();
-      runq_.pop();
-      Proc& p = procs_[pid];
-      if (p.fiber.done() || p.blocked) continue; // defensively drop stale entries
-      // Every clock change is immediately followed by a fresh queue entry
-      // and blocked processors have no entry, so entries are never stale.
-      FPQ_ASSERT_MSG(clk == p.clock, "scheduler entry out of date");
-      (void)sq;
-      if (perturb(pid)) continue; // policy delayed the fiber; pick again
+    for (ProcId pid = pick_next(); pid != kNoProc; pid = pick_next()) {
       running_ = pid;
-      p.fiber.switch_in(&sched_ctx_);
+      procs_[pid].fiber.switch_in(sched_ctx_);
+      // Fibers hand off among themselves (yield_running), so the one that
+      // came back is running_, and it finished or parked.
+      const ProcId back = running_;
       running_ = kNoProc;
+      Proc& p = procs_[back];
+      FPQ_ASSERT(p.fiber.done() || p.blocked);
       if (p.fiber.done()) {
         --live;
         if (p.fiber.error() && !first_error) first_error = p.fiber.error();
-        stats_[pid].clock = p.clock;
-      } else if (!p.blocked) {
-        schedule(pid);
+        stats_[back].clock = p.clock;
       }
     }
   }
@@ -330,6 +352,9 @@ void Engine::run(const std::function<void(ProcId)>& body) {
     // word must not "wake" a fiber that no longer exists.
     memory_.clear_waiters();
   }
+  // A fiber still parked (taken down, or waiting on one that was) is never
+  // resumed: the next run starts fresh fibers.
+  for (Proc& p : procs_) p.fiber.abandon();
   for (u32 i = 0; i < n; ++i) stats_[i].clock = procs_[i].clock;
   if (first_error) std::rethrow_exception(first_error);
 }

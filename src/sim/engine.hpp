@@ -137,7 +137,12 @@ class Engine {
   };
 
   void schedule(ProcId p);
+  /// Suspends the running fiber. Outside exploration a fiber that is not
+  /// parked is requeued and hands off directly to the next pick.
   void yield_running();
+  /// Pops the run queue up to the next fiber to run, applying the
+  /// SchedulePolicy; kNoProc when the queue is empty.
+  ProcId pick_next();
   /// Applies the configured SchedulePolicy to the fiber about to run.
   /// Returns true when the fiber was delayed and requeued instead (the
   /// scheduler must pick again).
@@ -147,7 +152,7 @@ class Engine {
   std::vector<Proc> procs_;
   std::vector<ProcStats> stats_;
   ProcId running_ = kNoProc;
-  ucontext_t sched_ctx_{};
+  Fiber::Context sched_ctx_; // the run loop, on the host thread's stack
   u64 seq_ = 0; // tie-breaker for equal clocks (keeps ordering deterministic)
   using QEntry = std::tuple<Cycles, u64, ProcId>;
   std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> runq_;

@@ -18,15 +18,56 @@ u32 Mesh::hops(u32 a, u32 b) const {
   return dx + dy;
 }
 
+bool WordTable::erase(u64 raw) {
+  std::size_t i = index(raw);
+  while (slots_[i].raw != raw) {
+    if (slots_[i].raw == kEmpty) return false;
+    i = (i + 1) & mask();
+  }
+  // Pull back every later entry of the probe run that may sit at `i`: one
+  // whose home slot is not cyclically after `i`.
+  for (std::size_t j = (i + 1) & mask(); slots_[j].raw != kEmpty; j = (j + 1) & mask()) {
+    const std::size_t h = index(slots_[j].raw);
+    if (((j - h) & mask()) >= ((j - i) & mask())) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = Slot{};
+  --size_;
+  return true;
+}
+
+void WordTable::grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  --shift_;
+  size_ = 0;
+  for (const Slot& s : old)
+    if (s.raw != kEmpty) find_or_insert(s.raw, s.ordinal);
+}
+
 MemoryModel::MemoryModel(u32 nprocs, const MachineParams& params)
-    : nprocs_(nprocs), params_(params), mesh_(nprocs), module_free_(nprocs, 0) {
+    : nprocs_(nprocs), sharer_words_((nprocs + 63) / 64), params_(params), mesh_(nprocs),
+      module_free_(nprocs, 0) {
   FPQ_ASSERT_MSG(nprocs >= 1 && nprocs <= kMaxSimProcs, "processor count out of range");
+}
+
+void MemoryModel::add_line() {
+  if ((next_key_ & (kChunkLines - 1)) == 0) {
+    line_chunks_.push_back(std::make_unique<Line[]>(kChunkLines));
+    sharer_chunks_.push_back(std::make_unique<u64[]>(kChunkLines * sharer_words_));
+  }
+  ++next_key_;
 }
 
 AccessResult MemoryModel::access(ProcId proc, const void* addr, AccessKind kind,
                                  Cycles now) {
-  Line& L = line(addr);
+  const u64 k = key(addr);
+  Line& L = line(k);
+  SharerSet S = sharers(k);
   AccessResult r;
+  r.word_key = k;
 
   switch (kind) {
     case AccessKind::Read: ++stats_.reads; break;
@@ -36,7 +77,7 @@ AccessResult MemoryModel::access(ProcId proc, const void* addr, AccessKind kind,
 
   const bool read = (kind == AccessKind::Read);
   const bool have_m = (L.state == Line::State::Modified && L.owner == proc);
-  const bool have_s = (L.state == Line::State::SharedClean && L.sharers.test(proc));
+  const bool have_s = (L.state == Line::State::SharedClean && S.test(proc));
 
   if (read ? (have_m || have_s) : have_m) {
     // Cache hit; no directory traffic.
@@ -45,7 +86,7 @@ AccessResult MemoryModel::access(ProcId proc, const void* addr, AccessKind kind,
     r.hit = true;
   } else {
     ++stats_.misses;
-    const u32 m = home(key(addr));
+    const u32 m = home(k);
     const Cycles to_home = one_way(proc, m);
     const Cycles arrive = now + to_home;
     const Cycles start = std::max(arrive, module_free_[m]);
@@ -57,8 +98,8 @@ AccessResult MemoryModel::access(ProcId proc, const void* addr, AccessKind kind,
 
     if (!read) {
       // Invalidate every other cached copy.
-      u32 victims = L.sharers.count_excluding(proc);
-      if (L.state == Line::State::Modified && L.owner != proc && !L.sharers.test(L.owner))
+      u32 victims = S.count_excluding(proc);
+      if (L.state == Line::State::Modified && L.owner != proc && !S.test(L.owner))
         ++victims; // defensive: owner should be in sharers, but count it once
       if (victims > 0) {
         service += params_.t_inv_base + params_.t_inv_per_sharer * victims;
@@ -79,19 +120,19 @@ AccessResult MemoryModel::access(ProcId proc, const void* addr, AccessKind kind,
       if (L.state == Line::State::Modified) {
         // Owner is downgraded to a sharer.
         L.state = Line::State::SharedClean;
-        L.sharers.clear();
-        L.sharers.set(L.owner);
+        S.clear();
+        S.set(L.owner);
         L.owner = kNoProc;
       } else if (L.state == Line::State::Idle) {
         L.state = Line::State::SharedClean;
       }
-      L.sharers.set(proc);
+      S.set(proc);
     }
   } else {
     L.state = Line::State::Modified;
     L.owner = proc;
-    L.sharers.clear();
-    L.sharers.set(proc);
+    S.clear();
+    S.set(proc);
     ++L.version;
     if (!L.waiters.empty()) r.woken = std::move(L.waiters);
   }

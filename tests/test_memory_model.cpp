@@ -3,6 +3,8 @@
 // invalidation accounting and the line version counters.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/memory.hpp"
 
 namespace fpq::sim {
@@ -224,7 +226,8 @@ TEST(MemoryModel, StatsTallyKinds) {
 }
 
 TEST(SharerSet, CountAndExclusion) {
-  SharerSet s;
+  u64 words[kMaxSimProcs / 64] = {};
+  SharerSet s(words, kMaxSimProcs / 64);
   EXPECT_EQ(s.count(), 0u);
   s.set(0);
   s.set(63);
@@ -239,6 +242,88 @@ TEST(SharerSet, CountAndExclusion) {
   EXPECT_EQ(s.count(), 3u);
   s.clear();
   EXPECT_EQ(s.count(), 0u);
+}
+
+// Sharer bits are sized to the machine: one word per 64 processors. The
+// counts, state and owner must be exact at and around the word boundaries.
+class SharerWidth : public ::testing::TestWithParam<u32> {};
+
+TEST_P(SharerWidth, CountsStateAndOwnerAreExact) {
+  const u32 n = GetParam();
+  MemoryModel mm(n, flat_params());
+  u64 word = 0, other = 0;
+  for (ProcId p = 0; p < n; ++p) mm.access(p, &word, AccessKind::Read, 0);
+  EXPECT_EQ(mm.state_of(&word), Line::State::SharedClean);
+  EXPECT_EQ(mm.sharer_count(&word), n);
+  EXPECT_EQ(mm.owner_of(&word), kNoProc);
+  // A neighbouring word's sharer bits are its own.
+  mm.access(n - 1, &other, AccessKind::Read, 0);
+  EXPECT_EQ(mm.sharer_count(&other), 1u);
+  EXPECT_EQ(mm.sharer_count(&word), n);
+
+  const u64 inv_before = mm.stats().invalidations;
+  mm.access(n - 1, &word, AccessKind::Write, 0);
+  EXPECT_EQ(mm.stats().invalidations - inv_before, n - 1);
+  EXPECT_EQ(mm.state_of(&word), Line::State::Modified);
+  EXPECT_EQ(mm.owner_of(&word), n - 1);
+  EXPECT_EQ(mm.sharer_count(&word), 1u);
+
+  if (n > 1) { // a read by another processor downgrades the owner
+    mm.access(0, &word, AccessKind::Read, 0);
+    EXPECT_EQ(mm.state_of(&word), Line::State::SharedClean);
+    EXPECT_EQ(mm.owner_of(&word), kNoProc);
+    EXPECT_EQ(mm.sharer_count(&word), 2u);
+  }
+
+  // Ownership passes along every processor in turn.
+  for (ProcId p = 0; p < n; ++p) {
+    mm.access(p, &word, AccessKind::Rmw, 0);
+    ASSERT_EQ(mm.owner_of(&word), p);
+    ASSERT_EQ(mm.sharer_count(&word), 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Procs, SharerWidth, ::testing::Values(1u, 63u, 64u, 65u, 256u, 1024u));
+
+TEST(MemoryModel, WordKeysAreFirstTouchOrdinals) {
+  MemoryModel mm(4, flat_params());
+  std::vector<u64> words(3000);
+  // Touch in a scattered order, with repeats: keys follow first touches.
+  std::vector<u64> expect(words.size(), ~0ull);
+  u64 next = 0;
+  for (std::size_t i = 0; i < 3 * words.size(); ++i) {
+    const std::size_t w = (i * 7919) % words.size();
+    if (expect[w] == ~0ull) expect[w] = next++;
+    mm.access(static_cast<ProcId>(i % 4), &words[w], AccessKind::Read, 0);
+    ASSERT_EQ(mm.word_key(&words[w]), expect[w]);
+  }
+}
+
+TEST(WordTable, EraseKeepsEveryOtherWordFindable) {
+  WordTable t;
+  const u64 n = 5000;
+  for (u64 raw = 0; raw < n; ++raw) {
+    const auto [k, fresh] = t.find_or_insert(raw * 3, raw);
+    ASSERT_TRUE(fresh);
+    ASSERT_EQ(k, raw);
+  }
+  // Erase every third word; the rest keep their values through the
+  // backward shifts, and erased words read as absent.
+  for (u64 raw = 0; raw < n; raw += 3) ASSERT_TRUE(t.erase(raw * 3));
+  EXPECT_FALSE(t.erase(0)); // already erased
+  EXPECT_FALSE(t.erase(1)); // never inserted
+  EXPECT_EQ(t.size(), n - (n + 2) / 3);
+  for (u64 raw = 0; raw < n; ++raw) {
+    const auto [k, fresh] = t.find_or_insert(raw * 3, n + raw);
+    if (raw % 3 == 0) {
+      EXPECT_TRUE(fresh) << raw;
+      EXPECT_EQ(k, n + raw);
+    } else {
+      EXPECT_FALSE(fresh) << raw;
+      EXPECT_EQ(k, raw);
+    }
+  }
+  EXPECT_EQ(t.size(), n);
 }
 
 } // namespace
