@@ -234,6 +234,43 @@ TEST(BatchSequential, MixedPrioritiesSplitAcrossFunnelTreeSubtrees) {
   });
 }
 
+// ---- Bounded-wait delete-min on the queues with a native try path: run
+// alone, it must find an item at any priority, not only in the half of the
+// priority range a FunnelTree root counter covers.
+class NativeTryDelete : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(NativeTryDelete, FindsOneItemAtEveryPriority) {
+  for (const u32 npriorities : {1u, 13u, 16u}) {
+    PqParams params{.npriorities = npriorities, .maxprocs = 1, .bin_capacity = 64};
+    auto pq = make_priority_queue<SimPlatform>(GetParam(), params);
+    sim::Engine eng(1);
+    eng.run([&](ProcId) {
+      for (Prio p = 0; p < npriorities; ++p) {
+        ASSERT_TRUE(pq->insert(p, 100 + p));
+        Entry e{};
+        ASSERT_EQ(pq->try_delete_min(e, TryBudget{}), PqStatus::kOk)
+            << "priority " << p << " of " << npriorities;
+        EXPECT_EQ(e.prio, p);
+        EXPECT_EQ(e.item, 100u + p);
+        EXPECT_EQ(pq->try_delete_min(e, TryBudget{}), PqStatus::kEmpty)
+            << "priority " << p << " of " << npriorities;
+      }
+    });
+  }
+}
+
+std::vector<Algorithm> native_try_algorithms() {
+  std::vector<Algorithm> out;
+  for (Algorithm a : all_algorithms())
+    if (has_native_try(a)) out.push_back(a);
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(NativeTry, NativeTryDelete, ::testing::ValuesIn(native_try_algorithms()),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
 TEST(PqParamsValidation, RejectsNonsense) {
   PqParams p;
   p.npriorities = 0;
