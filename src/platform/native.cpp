@@ -21,28 +21,15 @@ struct NativeCtx {
 };
 
 thread_local NativeCtx g_ctx;
-
-NativePlatform::SpinConfig g_spin_config{};
 } // namespace
 
-void NativePlatform::set_spin_config(const SpinConfig& cfg) { g_spin_config = cfg; }
-
-const NativePlatform::SpinConfig& NativePlatform::spin_config() { return g_spin_config; }
-
-void NativePlatform::escalate() {
-  if (g_spin_config.escalation == SpinEscalation::kSleep)
-    std::this_thread::sleep_for(std::chrono::nanoseconds(g_spin_config.sleep_ns));
-  else
-    std::this_thread::yield();
-}
-
 void NativePlatform::pause() {
-  if (++g_ctx.pause_streak <= g_spin_config.relax_spins) {
+  if (++g_ctx.pause_streak <= kRelaxSpins) {
     relax();
     return;
   }
   g_ctx.pause_streak = 0;
-  escalate();
+  std::this_thread::yield();
 }
 
 void NativePlatform::run(u32 nprocs, const std::function<void(ProcId)>& fn, u64 seed) {

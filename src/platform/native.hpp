@@ -11,6 +11,7 @@
 #include <atomic>
 #include <functional>
 #include <new>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -87,21 +88,11 @@ struct NativePlatform {
 
   static constexpr bool kSimulated = false;
 
-  /// Contention policy for spin loops (pause/spin_until). A spinner relaxes
-  /// the core for `relax_spins` consecutive iterations, then escalates —
-  /// yielding the OS thread (the right call on oversubscribed machines,
-  /// where the lock holder needs the core) or briefly sleeping ("park", the
-  /// polite choice when threads <= cores and latency matters less than
-  /// power). Process-wide; set before starting a run.
-  enum class SpinEscalation : u8 { kYield, kSleep };
-  struct SpinConfig {
-    u32 relax_spins = 64;
-    SpinEscalation escalation = SpinEscalation::kYield;
-    /// Park length for kSleep, nanoseconds.
-    u64 sleep_ns = 50 * 1000;
-  };
-  static void set_spin_config(const SpinConfig& cfg);
-  static const SpinConfig& spin_config();
+  /// Contention policy for spin loops (pause/spin_until): a spinner relaxes
+  /// the core for kRelaxSpins consecutive iterations, then yields the OS
+  /// thread once (the right call on oversubscribed machines, where the lock
+  /// holder needs the core) and starts over.
+  static constexpr u32 kRelaxSpins = 64;
 
   /// Runs fn(ProcId) on `nprocs` OS threads, started together behind a
   /// barrier. Rethrows the first exception a worker threw.
@@ -126,8 +117,8 @@ struct NativePlatform {
 #endif
   }
 
-  /// Spin hint with escalation: cpu-relax for the first relax_spins calls
-  /// in a row, then yield/park once and start over. Spin loops that know
+  /// Spin hint with escalation: cpu-relax for the first kRelaxSpins calls
+  /// in a row, then yield once and start over. Spin loops that know
   /// their own iteration count should prefer spin_until.
   static void pause();
 
@@ -154,25 +145,20 @@ struct NativePlatform {
   static void adopt(ProcId id, u32 nprocs, u64 seed = 1);
   static void release();
 
-  /// Acquire-spins on `w` until pred holds. Relaxes for the configured
-  /// budget, then escalates (yield/park) between probes.
+  /// Acquire-spins on `w` until pred holds. Relaxes for kRelaxSpins
+  /// probes, then yields between probes.
   template <SharedWord T, class Pred>
   static T spin_until(const Shared<T>& w, Pred pred) {
-    const SpinConfig& cfg = spin_config();
     u32 spins = 0;
     for (;;) {
       T v = w.load_acquire();
       if (pred(v)) return v;
-      if (++spins <= cfg.relax_spins)
+      if (++spins <= kRelaxSpins)
         relax();
       else
-        escalate();
+        std::this_thread::yield();
     }
   }
-
- private:
-  /// Give up the core once, per the configured escalation.
-  static void escalate();
 };
 
 static_assert(Platform<NativePlatform>);

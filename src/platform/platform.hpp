@@ -24,7 +24,7 @@
 //                               pred(value); the simulator parks the fiber
 //                               until the word is written, like spinning on
 //                               a cached line; the native backend relaxes,
-//                               then escalates per its spin policy.
+//                               then yields between probes.
 //   P::rnd(bound) / P::flip() — deterministic per-processor randomness.
 //   P::kSimulated             — constexpr bool.
 //   P::try_alloc(bytes)       — raw storage for a structure node, or

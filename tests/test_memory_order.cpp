@@ -145,7 +145,7 @@ TEST(MemoryOrderLitmus, SpinUntilObservesRelease) {
   u64 got = 0;
   NP::run(2, [&](ProcId id) {
     if (id == 0) {
-      for (volatile int i = 0; i < 10000; ++i) {} // let the waiter spin
+      NP::delay(10000); // let the waiter spin
       word.store_release(7);
     } else {
       got = NP::spin_until(word, [](u64 v) { return v != 0; });
@@ -267,28 +267,19 @@ TEST(MemoryOrderLitmus, SkipListRescueNeverStrandsItems) {
   EXPECT_EQ(uniq.size(), u64{kProducers} * kPerProducer);
 }
 
-// Spin configuration knob: both escalation modes must make progress under
-// oversubscription (more waiters than cores is the common CI case).
-TEST(MemoryOrderLitmus, SpinConfigEscalationModes) {
-  const NP::SpinConfig saved = NP::spin_config();
-  for (NP::SpinEscalation esc :
-       {NP::SpinEscalation::kYield, NP::SpinEscalation::kSleep}) {
-    NP::SpinConfig cfg;
-    cfg.relax_spins = 4; // force escalation quickly
-    cfg.escalation = esc;
-    cfg.sleep_ns = 1000;
-    NP::set_spin_config(cfg);
-    NP::Shared<u32> turn{0};
-    constexpr u32 kThreads = 4;
-    NP::run(kThreads, [&](ProcId id) {
-      for (u32 round = 0; round < 50; ++round) {
-        NP::spin_until(turn, [&](u32 v) { return v == round * kThreads + id; });
-        turn.store_release(round * kThreads + id + 1);
-      }
-    });
-    EXPECT_EQ(turn.load(), 50u * kThreads);
-  }
-  NP::set_spin_config(saved);
+// Turn-taking through spin_until: every waiter must make progress under
+// oversubscription (more waiters than cores is the common CI case), which
+// needs the yield after the relax spins.
+TEST(MemoryOrderLitmus, SpinUntilTurnTakingMakesProgress) {
+  NP::Shared<u32> turn{0};
+  constexpr u32 kThreads = 4;
+  NP::run(kThreads, [&](ProcId id) {
+    for (u32 round = 0; round < 50; ++round) {
+      NP::spin_until(turn, [&](u32 v) { return v == round * kThreads + id; });
+      turn.store_release(round * kThreads + id + 1);
+    }
+  });
+  EXPECT_EQ(turn.load(), 50u * kThreads);
 }
 
 } // namespace
