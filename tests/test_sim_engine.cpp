@@ -159,6 +159,22 @@ TEST(SimEngine, ExceptionInFiberPropagates) {
                std::runtime_error);
 }
 
+TEST(SimEngine, ExceptionAfterHandOffsPropagates) {
+  // Misses and delays hand control from fiber to fiber without the run
+  // loop; a throw deep into that chain must still leave Engine::run.
+  auto word = std::make_unique<SimShared<u64>>(0);
+  sim::Engine eng(8);
+  EXPECT_THROW(eng.run([&](ProcId id) {
+    for (int i = 0; i < 20; ++i) {
+      word->fetch_add(1);
+      SimPlatform::delay(10);
+      if (id == 5 && i == 13) throw std::runtime_error("boom");
+    }
+  }),
+               std::runtime_error);
+  EXPECT_GE(word->load(), 8u * 13u);
+}
+
 TEST(SimEngine, SecondRunContinuesClocks) {
   sim::Engine eng(2);
   eng.run([&](ProcId) { SimPlatform::delay(100); });
