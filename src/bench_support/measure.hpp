@@ -3,6 +3,12 @@
 // merged stats.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <string_view>
+
 #include "bench_support/workload.hpp"
 #include "core/registry.hpp"
 #include "platform/sim.hpp"
@@ -42,12 +48,23 @@ inline OpStats measure_sim(const MeasureConfig& cfg) {
   return run_pq_workload<SimPlatform>(*pq, w, cfg.machine).ops;
 }
 
-/// Benchmarks honor --quick (fewer ops; used in CI) and --ops=N.
+/// Benchmarks honor --quick (fewer ops; used in CI) and --ops=N. N must be
+/// a whole decimal in [1, 2^32-1]; anything else is a usage error (exit 2).
 inline u32 bench_ops_per_proc(int argc, char** argv, u32 dflt) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
     if (a == "--quick") return dflt / 4 > 10 ? dflt / 4 : 10;
-    if (a.rfind("--ops=", 0) == 0) return static_cast<u32>(std::stoul(std::string(a.substr(6))));
+    if (a.rfind("--ops=", 0) == 0) {
+      const std::string_view v = a.substr(6);
+      u64 n = 0;
+      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+      if (ec != std::errc{} || end != v.data() + v.size() || n < 1 || n > UINT32_MAX) {
+        std::cerr << argv[0] << ": --ops needs a whole number in [1, 4294967295], got '" << v
+                  << "'\n";
+        std::exit(2);
+      }
+      return static_cast<u32>(n);
+    }
   }
   return dflt;
 }

@@ -21,8 +21,7 @@
 // the count the counter actually surrendered — the left child receives the
 // decrements the counter satisfied (items provably below it), the right
 // child the remainder. Left subtrees are resolved first so the out array
-// is filled in nondecreasing priority order. An optional PQ-level
-// elimination array (FunnelOptions::pq_elimination) fronts the point ops.
+// is filled in nondecreasing priority order.
 #pragma once
 
 #include <algorithm>
@@ -35,7 +34,6 @@
 #include "funnel/counter.hpp"
 #include "funnel/params.hpp"
 #include "funnel/stack.hpp"
-#include "pq/elim_layer.hpp"
 #include "pq/linear_funnels_pq.hpp" // FunnelOptions, kMaxBatchChunk, funnel_params_for
 #include "pq/pq.hpp"
 
@@ -47,9 +45,7 @@ class FunnelTreePq {
   explicit FunnelTreePq(const PqParams& params, const FunnelOptions& opts = {})
       : npriorities_(params.npriorities),
         nleaves_(round_up_pow2(params.npriorities)),
-        chunk_(std::min(params.max_batch, kMaxBatchChunk)),
-        elim_spin_(opts.elim_spin),
-        elim_(opts.pq_elimination ? opts.elim_slots : 0) {
+        chunk_(std::min(params.max_batch, kMaxBatchChunk)) {
     params.validate();
     const FunnelParams fp = funnel_params_for(params, opts);
     const typename FunnelCounter<P>::Config ctr_cfg{/*bounded=*/true,
@@ -71,7 +67,6 @@ class FunnelTreePq {
 
   bool insert(Prio prio, Item item) {
     FPQ_ASSERT_MSG(prio < npriorities_, "priority outside the bounded range");
-    if (elim_.enabled() && elim_.try_hand_off(prio, item)) return true;
     if (!stacks_[prio]->push(item)) return false;
     for (u32 n = nleaves_ + prio; n > 1; n >>= 1) {
       if ((n & 1) == 0) fai(n >> 1);
@@ -79,11 +74,7 @@ class FunnelTreePq {
     return true;
   }
 
-  std::optional<Entry> delete_min() {
-    if (auto e = descend(1)) return e;
-    if (elim_.enabled()) return elim_.park(elim_spin_);
-    return std::nullopt;
-  }
+  std::optional<Entry> delete_min() { return descend(1); }
 
   // Bounded-wait variants (DESIGN.md §12). The budget governs everything up
   // to the operation's point of no return — the leaf push for insert; for
@@ -94,7 +85,7 @@ class FunnelTreePq {
   // pushed item and tear every ancestor's invariant. Forward work
   // is bounded at log2(nleaves) counter ops, but each may block on that
   // counter's lock — the documented residual blocking of this queue's try_*.
-  // Funnel layer and elimination array are bypassed (partner-dependent).
+  // The funnel layer is bypassed (partner-dependent).
   PqStatus try_insert(Prio prio, Item item, const TryBudget& budget) {
     FPQ_ASSERT_MSG(prio < npriorities_, "priority outside the bounded range");
     TryClock<P> clock(budget);
@@ -282,8 +273,6 @@ class FunnelTreePq {
   u32 npriorities_;
   u32 nleaves_;
   u32 chunk_;
-  u32 elim_spin_;
-  ElimLayer<P> elim_;
   std::vector<std::unique_ptr<FunnelCounter<P>>> funnel_counters_;
   std::vector<std::unique_ptr<McsCounter<P>>> mcs_counters_;
   std::vector<std::unique_ptr<FunnelStack<P>>> stacks_;

@@ -7,10 +7,7 @@
 // Batch entry points (insert_batch/delete_min_batch) aggregate: inserts
 // are grouped by priority and each group rides one funnel traversal
 // (FunnelStack::push_batch); deletes drain each non-empty bin with one
-// pop_batch per visit. An optional PQ-level elimination array
-// (FunnelOptions::pq_elimination, src/pq/elim_layer.hpp) can hand an
-// insert of a historically-minimal priority straight to a parked
-// delete_min.
+// pop_batch per visit.
 #pragma once
 
 #include <algorithm>
@@ -20,7 +17,6 @@
 
 #include "funnel/params.hpp"
 #include "funnel/stack.hpp"
-#include "pq/elim_layer.hpp"
 #include "pq/pq.hpp"
 
 namespace fpq {
@@ -38,12 +34,6 @@ struct FunnelOptions {
   /// Bin order: LIFO stacks (the paper's default) or the §3.2 fairness
   /// hybrid — elimination in the funnel, FIFO order in the central store.
   BinOrder bin_order = BinOrder::kLifo;
-  /// PQ-level elimination array in front of the structure (see
-  /// elim_layer.hpp for the hand-off legality argument). Off by default.
-  bool pq_elimination = false;
-  u32 elim_slots = 4;
-  /// Deleter parking budget (slot re-checks) before withdrawing.
-  u32 elim_spin = 64;
   /// Collision protocol of every funnel in the queue: the paper's pairwise
   /// exchange, or the Roh et al. '24 aggregation (DESIGN.md §13).
   /// Authoritative — overrides the protocol field of an explicit `params`.
@@ -70,9 +60,7 @@ class LinearFunnelsPq {
  public:
   explicit LinearFunnelsPq(const PqParams& params, const FunnelOptions& opts = {})
       : npriorities_(params.npriorities),
-        chunk_(std::min(params.max_batch, kMaxBatchChunk)),
-        elim_spin_(opts.elim_spin),
-        elim_(opts.pq_elimination ? opts.elim_slots : 0) {
+        chunk_(std::min(params.max_batch, kMaxBatchChunk)) {
     params.validate();
     const FunnelParams fp = funnel_params_for(params, opts);
     stacks_.reserve(npriorities_);
@@ -83,7 +71,6 @@ class LinearFunnelsPq {
 
   bool insert(Prio prio, Item item) {
     FPQ_ASSERT_MSG(prio < npriorities_, "priority outside the bounded range");
-    if (elim_.enabled() && elim_.try_hand_off(prio, item)) return true;
     return stacks_[prio]->push(item);
   }
 
@@ -93,15 +80,14 @@ class LinearFunnelsPq {
         if (auto e = stacks_[i]->pop()) return Entry{i, *e};
       }
     }
-    if (elim_.enabled()) return elim_.park(elim_spin_);
     return std::nullopt;
   }
 
-  // Bounded-wait variants (DESIGN.md §12). Both bypass the funnel layer and
-  // the elimination array entirely — a funnel capture waits on a *partner's*
-  // progress, which a budget cannot bound — and go straight for the central
-  // lock with try_acquire + backoff. Fully pre-commit: kTimeout / kEmpty
-  // consumed and inserted nothing.
+  // Bounded-wait variants (DESIGN.md §12). Both bypass the funnel layer
+  // entirely — a funnel capture waits on a *partner's* progress, which a
+  // budget cannot bound — and go straight for the central lock with
+  // try_acquire + backoff. Fully pre-commit: kTimeout / kEmpty consumed and
+  // inserted nothing.
   PqStatus try_insert(Prio prio, Item item, const TryBudget& budget) {
     FPQ_ASSERT_MSG(prio < npriorities_, "priority outside the bounded range");
     TryClock<P> clock(budget);
@@ -128,7 +114,7 @@ class LinearFunnelsPq {
           break; // bin drained between the probe and the lock; keep scanning
       }
     }
-    return PqStatus::kEmpty; // no elim park: parking blocks on a partner
+    return PqStatus::kEmpty;
   }
 
   /// Aggregated insert: entries grouped by priority, one funnel traversal
@@ -180,8 +166,6 @@ class LinearFunnelsPq {
  private:
   u32 npriorities_;
   u32 chunk_;
-  u32 elim_spin_;
-  ElimLayer<P> elim_;
   std::vector<std::unique_ptr<FunnelStack<P>>> stacks_;
 };
 

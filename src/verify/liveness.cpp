@@ -109,13 +109,13 @@ LivenessResult run_liveness(const LivenessSpec& spec) {
       ++completed[id];
     }
   });
-  // Why try_delete_min above: a *blocking* delete_min on an empty funnel
-  // queue parks in the elimination layer / scans forever only bounded by
-  // work arriving; the classification must measure blocking on the *dead
-  // processor's locks*, not on an empty queue. The bounded variant returns
-  // kTimeout/kEmpty instead, while still walking the same locked hot path
-  // (native try implementations) or full blocking attempts (fallback), so
-  // a dead lock holder still manifests as kBlocked/kWedged.
+  // Why try_delete_min above: a *blocking* delete_min can wait inside a
+  // funnel on a partner's progress; the classification must measure
+  // blocking on the *dead processor's locks*, not on partner hand-offs.
+  // The bounded variant returns kTimeout/kEmpty instead, while still
+  // walking the same locked hot path (native try implementations) or full
+  // blocking attempts (fallback), so a dead lock holder still manifests
+  // as kBlocked/kWedged.
 
   LivenessResult r;
   r.spec = spec;

@@ -56,10 +56,6 @@ QueueFactory registry_factory(const StressSpec& spec) {
   const Algorithm algo = spec.algo;
   FunnelOptions opts;
   opts.protocol = spec.funnel;
-  if (spec.elim > 0) {
-    opts.pq_elimination = true;
-    opts.elim_slots = spec.elim;
-  }
   return [algo, opts](const PqParams& params) {
     return make_priority_queue<SimPlatform>(algo, params, opts);
   };
@@ -99,7 +95,7 @@ std::string to_line(const StressSpec& s) {
      << " seed=" << s.seed << " procs=" << s.nprocs << " ops=" << s.ops_per_proc
      << " nprio=" << s.npriorities << " ins=" << s.insert_percent
      << " permille=" << s.perturb_permille << " maxdelay=" << s.max_delay
-     << " jitter=" << s.access_jitter << " batch=" << s.batch << " elim=" << s.elim
+     << " jitter=" << s.access_jitter << " batch=" << s.batch
      << " reclaim=" << reclaim::to_string(s.reclaim) << " funnel=" << to_string(s.funnel);
   // Sharding keys only for the sharded composite, so every other
   // algorithm's replay lines stay byte-identical to what earlier versions
@@ -155,8 +151,6 @@ void set_spec_key(StressSpec& s, std::string_view key, const std::string& val) {
       s.access_jitter = std::stoull(val);
     } else if (key == "batch") {
       s.batch = u32_val();
-    } else if (key == "elim") {
-      s.elim = u32_val();
     } else if (key == "reclaim") {
       s.reclaim = reclaim::policy_from_string(val);
     } else if (key == "funnel") {

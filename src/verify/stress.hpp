@@ -61,9 +61,6 @@ struct StressSpec {
   /// element is recorded as its own operation sharing the batch's
   /// [invoke, response] window, so the same checkers apply unchanged.
   u32 batch = 1;
-  /// PQ-level elimination array slots for the funnel queues (0 = off);
-  /// forwarded as FunnelOptions::pq_elimination / elim_slots.
-  u32 elim = 0;
   /// Memory-reclamation policy for the queues that reclaim through
   /// reclaim::Domain (PqParams::reclaim_policy); ignored by the rest.
   reclaim::Policy reclaim = reclaim::Policy::kHazardPointer;

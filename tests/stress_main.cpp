@@ -63,14 +63,11 @@ struct SpecFlag {
   const char* key;
 };
 constexpr SpecFlag kSpecFlags[] = {
-    {"--seed-base", "seed"},    {"--procs", "procs"},
-    {"--ops", "ops"},           {"--nprio", "nprio"},
-    {"--insert-pct", "ins"},    {"--jitter", "jitter"},
-    {"--batch", "batch"},       {"--elim", "elim"},
-    {"--reclaim", "reclaim"},   {"--funnel", "funnel"},
-    {"--shards", "shards"},     {"--sample-c", "c"},
-    {"--policy", "mode"},       {"--faults", "faults"},
-    {"--watchdog", "watchdog"}, {"--preempt-bound", "preempt_bound"},
+    {"--seed-base", "seed"}, {"--procs", "procs"},       {"--ops", "ops"},
+    {"--nprio", "nprio"},    {"--insert-pct", "ins"},    {"--jitter", "jitter"},
+    {"--batch", "batch"},    {"--reclaim", "reclaim"},   {"--funnel", "funnel"},
+    {"--shards", "shards"},  {"--sample-c", "c"},        {"--policy", "mode"},
+    {"--faults", "faults"},  {"--watchdog", "watchdog"}, {"--preempt-bound", "preempt_bound"},
     {"--max-execs", "max_execs"},
 };
 
@@ -89,7 +86,6 @@ int usage(const char* argv0) {
       << "  --seed-base=N        first seed (default 1)\n"
       << "  --procs=N --ops=N --nprio=N --insert-pct=N --jitter=N   workload shape\n"
       << "  --batch=N            group ops into insert_batch/delete_min_batch calls\n"
-      << "  --elim=N             PQ-level elimination slots for funnel queues (0=off)\n"
       << "  --reclaim=hp|ebr     memory-reclamation policy for reclaiming queues\n"
       << "  --funnel=exchange|aggregate   funnel collision protocol (DESIGN.md §13)\n"
       << "  --shards=K           sub-queue count for the Sharded composite (0=auto)\n"

@@ -13,17 +13,13 @@
 //     leak and no double-free across the queue's whole lifetime (counting
 //     allocator), try_insert reports kNoMemory;
 //   * spurious CAS failure and finite stalls: transient faults that every
-//     queue must absorb with no checker-visible effect;
-//   * elimination-layer partner crashes: a parked deleter whose inserter
-//     died withdraws in bounded time, a dead deleter's slot never traps an
-//     inserter.
+//     queue must absorb with no checker-visible effect.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "platform/sim.hpp"
-#include "pq/elim_layer.hpp"
 #include "pq/lockfree_skiplist_pq.hpp"
 #include "pq/linear_funnels_pq.hpp"
 #include "sim/engine.hpp"
@@ -332,73 +328,6 @@ TEST(TransientFaults, CasFailAndFiniteStallsPassStressChecks) {
       spec.seed = 5;
       spec.nprocs = 4;
       spec.ops_per_proc = 16;
-      spec.faults = sim::fault_plan_from_string(faults);
-      spec.watchdog = 50000;
-      const auto failure = verify::run_scenario(spec);
-      EXPECT_FALSE(failure.has_value())
-          << verify::format_failure(*failure) << "\nunder " << faults;
-    }
-  }
-}
-
-// ------------------------------------------- elimination partner crash --
-
-// A parked deleter whose hand-off partner fail-stops must withdraw in
-// bounded time (its park spin is finite and the withdraw CAS cannot
-// block), and an inserter facing a dead deleter's still-waiting slot may
-// deliver into it — the entry is then owned by the crashed processor's
-// in-flight delete_min, a legal half-applied op under fail-stop. Directly
-// on ElimLayer: sweep the crash over the inserter's first accesses so it
-// dies before, inside, and after the hand-off CAS.
-TEST(ElimFaults, ParkedDeleterSurvivesPartnerCrash) {
-  for (u64 at = 0; at < 40; at += 3) {
-    constexpr u32 kProcs = 2;
-    sim::Engine eng(kProcs, {}, /*seed=*/2);
-    FaultPlan plan;
-    plan.events.push_back({FaultKind::kCrash, 1, at, 0});
-    plan.watchdog_budget = 100000;
-    eng.set_fault_plan(std::move(plan));
-
-    ElimLayer<SimPlatform> elim(2);
-    u32 delivered = 0, received = 0, parks_done = 0;
-    eng.run([&](ProcId id) {
-      if (id == 1) {
-        for (u32 i = 0; i < 32; ++i) {
-          SimPlatform::heartbeat();
-          if (elim.try_hand_off(0, i)) ++delivered;
-          SimPlatform::delay(SimPlatform::rnd(16));
-        }
-        return;
-      }
-      for (u32 i = 0; i < 32; ++i) {
-        SimPlatform::heartbeat();
-        if (elim.park(/*spin=*/40)) ++received;
-        ++parks_done;
-      }
-    });
-    // The deleter always finishes all parks, crash or no crash...
-    EXPECT_EQ(parks_done, 32u) << "deleter hung under crash@p1a" << at;
-    EXPECT_EQ(eng.fault_report().outcomes[0], ProcOutcome::kCompleted)
-        << "crash@p1a" << at;
-    // ...and no entry is fabricated: everything received was delivered.
-    EXPECT_LE(received, delivered) << "crash@p1a" << at;
-  }
-}
-
-// The same property through the full queues: funnel queues with the
-// PQ-level elimination array in front, one processor crashed at the
-// ordinals that land around hand-offs. The faulted stress checks gate the
-// result (no fabrication, sorted drain, bounded run).
-TEST(ElimFaults, FunnelQueuesWithElimLayerAbsorbPartnerCrash) {
-  for (Algorithm algo : {Algorithm::kLinearFunnels, Algorithm::kFunnelTree}) {
-    for (const char* faults : {"crash@p1a121", "crash@p1a212", "crash@p2a303"}) {
-      verify::StressSpec spec;
-      spec.algo = algo;
-      spec.seed = 2;
-      spec.nprocs = 4;
-      spec.ops_per_proc = 16;
-      spec.insert_percent = 50; // deleters must park for hand-offs to occur
-      spec.elim = 2;
       spec.faults = sim::fault_plan_from_string(faults);
       spec.watchdog = 50000;
       const auto failure = verify::run_scenario(spec);

@@ -13,7 +13,6 @@
 #include "funnel/counter.hpp"
 #include "funnel/stack.hpp"
 #include "platform/native.hpp"
-#include "pq/elim_layer.hpp"
 #include "sync/mcs_lock.hpp"
 #include "verify/quiescent.hpp"
 
@@ -280,70 +279,6 @@ INSTANTIATE_TEST_SUITE_P(FunnelsAndFallback, NativeBatchedQueues,
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
-
-TEST(NativeBatchedQueues, ElimLayerConservesUnderRealThreads) {
-  // PQ-level elimination array in front of the funnels: hand-offs race
-  // real parked deleters, so TSan sees the seq_cst min_seen_ handshake.
-  PqParams params{.npriorities = 16, .maxprocs = kThreads, .bin_capacity = 1u << 13};
-  FunnelOptions opts;
-  opts.pq_elimination = true;
-  opts.elim_slots = 2;
-  for (Algorithm algo : {Algorithm::kLinearFunnels, Algorithm::kFunnelTree}) {
-    auto pq = make_priority_queue<NativePlatform>(algo, params, opts);
-    std::atomic<u64> inserted{0}, deleted{0};
-    NativePlatform::run(kThreads, [&](ProcId id) {
-      for (u32 i = 0; i < 250; ++i) {
-        if (NativePlatform::rnd(100) < 45) {
-          ASSERT_TRUE(pq->insert(static_cast<Prio>(NativePlatform::rnd(16)),
-                                 (static_cast<u64>(id) << 24) | i));
-          inserted.fetch_add(1);
-        } else if (pq->delete_min()) {
-          deleted.fetch_add(1);
-        }
-      }
-    });
-    u64 drained = 0;
-    NativePlatform::run(1, [&](ProcId) {
-      while (pq->delete_min()) ++drained;
-    });
-    EXPECT_EQ(deleted.load() + drained, inserted.load()) << to_string(algo);
-  }
-}
-
-TEST(NativeElimLayer, PartnerDisappearanceNeverTrapsOrFabricates) {
-  // The fault battery's elimination property on real threads (the TSan
-  // variant of ElimFaults in test_faults.cpp): inserters that stop
-  // participating early — the native stand-in for a fail-stopped partner —
-  // leave every remaining parked deleter to time out and withdraw in
-  // bounded time, and the slot CAS protocol never fabricates an entry:
-  // everything a deleter receives, some inserter delivered.
-  ElimLayer<NativePlatform> elim(2);
-  std::atomic<u64> delivered{0}, received{0};
-  NativePlatform::run(kThreads, [&](ProcId id) {
-    if (id % 2 == 1) {
-      // Inserters quit after a short burst, deserting their partners.
-      const u32 rounds = id == 1 ? 40 : 400;
-      for (u32 i = 0; i < rounds; ++i) {
-        if (elim.try_hand_off(0, i)) delivered.fetch_add(1);
-      }
-      return;
-    }
-    // Deleters keep parking well past the inserters' exit; the bounded
-    // park spin means every call returns even with no partner left alive.
-    for (u32 i = 0; i < 400; ++i) {
-      if (elim.park(/*spin=*/50)) received.fetch_add(1);
-    }
-  });
-  EXPECT_LE(received.load(), delivered.load());
-
-  // And with no inserter at all: pure timeout/withdraw path.
-  u64 got = 0;
-  NativePlatform::run(1, [&](ProcId) {
-    for (u32 i = 0; i < 100; ++i)
-      if (elim.park(/*spin=*/10)) ++got;
-  });
-  EXPECT_EQ(got, 0u);
-}
 
 TEST(NativeQueues, SequentialSanityFunnelTree) {
   PqParams params{.npriorities = 32, .maxprocs = 1};

@@ -38,7 +38,6 @@ TEST(StressSpec, LineRoundTripsEveryField) {
   s.max_delay = 999;
   s.access_jitter = 17;
   s.batch = 6;
-  s.elim = 3;
   s.reclaim = reclaim::Policy::kEpoch;
   s.funnel = FunnelProtocol::kAggregate;
   s.shards = 5;
@@ -63,7 +62,6 @@ TEST(StressSpec, LineRoundTripsEveryField) {
   EXPECT_EQ(r.max_delay, s.max_delay);
   EXPECT_EQ(r.access_jitter, s.access_jitter);
   EXPECT_EQ(r.batch, s.batch);
-  EXPECT_EQ(r.elim, s.elim);
   EXPECT_EQ(r.reclaim, s.reclaim);
   EXPECT_EQ(r.funnel, s.funnel);
   EXPECT_EQ(r.shards, s.shards);
@@ -83,8 +81,7 @@ TEST(StressSpec, LineRoundTripsEveryField) {
 TEST(StressSpec, ReplayLinesMatchGoldenText) {
   const std::string default_line =
       "algo=SingleLock policy=smallest-clock seed=1 procs=4 ops=12 nprio=8 ins=60 "
-      "permille=250 maxdelay=256 jitter=0 batch=1 elim=0 reclaim=hp funnel=exchange "
-      "lin=0 race=0";
+      "permille=250 maxdelay=256 jitter=0 batch=1 reclaim=hp funnel=exchange lin=0 race=0";
   EXPECT_EQ(to_line(StressSpec{}), default_line);
 
   StressSpec x;
@@ -99,7 +96,6 @@ TEST(StressSpec, ReplayLinesMatchGoldenText) {
   x.max_delay = 64;
   x.access_jitter = 8;
   x.batch = 2;
-  x.elim = 1;
   x.reclaim = reclaim::Policy::kEpoch;
   x.funnel = FunnelProtocol::kAggregate;
   x.shards = 4;
@@ -112,8 +108,8 @@ TEST(StressSpec, ReplayLinesMatchGoldenText) {
   x.trace = 9;
   const std::string exhaustive_line =
       "algo=Sharded policy=exhaustive seed=42 procs=3 ops=2 nprio=4 ins=75 permille=100 "
-      "maxdelay=64 jitter=8 batch=2 elim=1 reclaim=ebr funnel=aggregate shards=4 c=2 "
-      "mode=direct lin=1 race=1 preempt_bound=2 max_execs=5000 trace=9";
+      "maxdelay=64 jitter=8 batch=2 reclaim=ebr funnel=aggregate shards=4 c=2 mode=direct "
+      "lin=1 race=1 preempt_bound=2 max_execs=5000 trace=9";
   EXPECT_EQ(to_line(x), exhaustive_line);
 
   StressSpec f;
@@ -125,8 +121,8 @@ TEST(StressSpec, ReplayLinesMatchGoldenText) {
   f.watchdog = 30000;
   const std::string fault_line =
       "algo=FunnelTree policy=random-preempt seed=3 procs=4 ops=12 nprio=8 ins=60 "
-      "permille=250 maxdelay=256 jitter=64 batch=1 elim=0 reclaim=hp funnel=exchange "
-      "lin=0 race=0 faults=crash@p1a300 watchdog=30000";
+      "permille=250 maxdelay=256 jitter=64 batch=1 reclaim=hp funnel=exchange lin=0 race=0 "
+      "faults=crash@p1a300 watchdog=30000";
   EXPECT_EQ(to_line(f), fault_line);
 
   // The example counterexample line in DESIGN.md §7 and README; the
@@ -138,8 +134,7 @@ TEST(StressSpec, ReplayLinesMatchGoldenText) {
   d.access_jitter = 64;
   const std::string doc_line =
       "algo=FunnelTree policy=delay-leader seed=17 procs=4 ops=12 nprio=8 ins=60 "
-      "permille=250 maxdelay=256 jitter=64 batch=1 elim=0 reclaim=hp funnel=exchange "
-      "lin=0 race=0";
+      "permille=250 maxdelay=256 jitter=64 batch=1 reclaim=hp funnel=exchange lin=0 race=0";
   EXPECT_EQ(to_line(d), doc_line);
 
   for (const std::string& line : {default_line, exhaustive_line, fault_line, doc_line})
@@ -157,6 +152,9 @@ TEST(StressSpec, RejectsMalformedLines) {
   EXPECT_THROW(spec_from_line("ins=101"), std::invalid_argument);
   EXPECT_THROW(spec_from_line("ops=0"), std::invalid_argument);
   EXPECT_THROW(spec_from_line("funnel=pairwise"), std::invalid_argument);
+  // A retired key: its scenario no longer exists, so it must not replay as
+  // a different one.
+  EXPECT_THROW(spec_from_line("elim=2"), std::invalid_argument);
 }
 
 TEST(StressSpec, PolicyNamesParse) {
@@ -226,25 +224,6 @@ TEST(StressScenario, BatchedSingleLockLinearizabilityGatePasses) {
     s.seed = seed;
     const auto f = run_scenario(s);
     EXPECT_FALSE(f.has_value()) << verify::format_failure(*f);
-  }
-}
-
-TEST(StressScenario, ElimLayerFunnelQueuesStayQuiescentlyConsistent) {
-  // The PQ-level elimination array's hand-off legality (elim_layer.hpp) is
-  // schedule-sensitive: a handed entry must still satisfy the quiescent
-  // rank bound and conservation.
-  for (Algorithm algo : {Algorithm::kLinearFunnels, Algorithm::kFunnelTree}) {
-    for (u64 seed = 1; seed <= 3; ++seed) {
-      StressSpec s;
-      s.algo = algo;
-      s.policy = sim::SchedulePolicy::kRandomPreempt;
-      s.seed = seed;
-      s.elim = 2;
-      s.insert_percent = 50; // deleters must outpace inserts to park
-      s.access_jitter = 64;
-      const auto f = run_scenario(s);
-      EXPECT_FALSE(f.has_value()) << verify::format_failure(*f);
-    }
   }
 }
 

@@ -17,6 +17,10 @@ are cheap to catch at review time:
                    exemption table. Seq_cst is reserved for
                    store-buffering handshakes that are argued there.
 
+  stale-exemption  a DESIGN.md §8.2 exemption row naming a file that does
+                   not exist. Such a row argues for nothing, and it would
+                   silently grant seq_cst to any later file at that path.
+
   unpadded-shared  a contiguous container of `Shared<T>` without the
                    `Padded<>` wrapper (false-sharing audit, §8.4).
                    Deliberately-contiguous arrays (lock-serialized data,
@@ -84,6 +88,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 # Directories scanned for contract violations (relative to the repo root).
@@ -304,9 +309,15 @@ def lint_file(rel: str, lines: list[str], seq_cst_exempt_files: set[str]) -> lis
     return findings
 
 
+def stale_exemptions(exempt: set[str], exists: Callable[[str], bool]) -> list[str]:
+    """Exemption rows whose file is gone: each needs deleting from §8.2."""
+    return [f"{DESIGN_DOC}: [stale-exemption] §8.2 row names `{rel}`, which does "
+            "not exist; delete the row" for rel in sorted(exempt) if not exists(rel)]
+
+
 def run(root: Path) -> int:
     exempt = parse_exemptions(root / DESIGN_DOC)
-    findings: list[str] = []
+    findings = stale_exemptions(exempt, lambda rel: (root / rel).is_file())
     for scan_dir in SCAN_DIRS:
         base = root / scan_dir
         if not base.is_dir():
@@ -461,9 +472,16 @@ def self_test() -> int:
             print(f"self-test FAILED: {rel} {snippet!r}: want {want_rule}, got "
                   f"{findings or 'clean'}", file=sys.stderr)
             failures += 1
+    # A §8.2 row whose file is gone is flagged; a row whose file exists is not.
+    stale = stale_exemptions({"src/pq/exempt.hpp", "src/pq/gone.hpp"},
+                             lambda rel: rel == "src/pq/exempt.hpp")
+    if len(stale) != 1 or "`src/pq/gone.hpp`" not in stale[0]:
+        print(f"self-test FAILED: stale-exemption: want one finding naming "
+              f"src/pq/gone.hpp, got {stale or 'clean'}", file=sys.stderr)
+        failures += 1
     if failures:
         return 1
-    print(f"contract_lint: self-test passed ({len(SELF_TEST_CASES)} cases)")
+    print(f"contract_lint: self-test passed ({len(SELF_TEST_CASES) + 1} cases)")
     return 0
 
 
