@@ -3,13 +3,14 @@
 // merged stats.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string_view>
 
 #include "bench_support/workload.hpp"
+#include "common/parse.hpp"
 #include "core/registry.hpp"
 #include "platform/sim.hpp"
 #include "sim/params.hpp"
@@ -57,8 +58,12 @@ inline u32 bench_ops_per_proc(int argc, char** argv, u32 dflt) {
     if (a.rfind("--ops=", 0) == 0) {
       const std::string_view v = a.substr(6);
       u64 n = 0;
-      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-      if (ec != std::errc{} || end != v.data() + v.size() || n < 1 || n > UINT32_MAX) {
+      try {
+        n = parse_whole(v, UINT32_MAX);
+      } catch (const std::invalid_argument&) {
+        // n stays 0, which is refused below with the same message.
+      }
+      if (n < 1) {
         std::cerr << argv[0] << ": --ops needs a whole number in [1, 4294967295], got '" << v
                   << "'\n";
         std::exit(2);

@@ -8,8 +8,7 @@
 // the delete-min unlink storm from the hot path. The bound also caps the
 // prefix every delete_min walks, and each hop of that walk is a fenced
 // hazard publish, so a short prefix pays for its extra restructures.
-// Nodes leave memory through reclaim::Domain (hazard pointers or epochs,
-// runtime-selected via PqParams::reclaim_policy).
+// Nodes leave memory through reclaim::Domain (hazard pointers).
 //
 // ## Node layout
 //
@@ -48,7 +47,7 @@
 //
 // Traversals run hand-over-hand under a reclaim::Guard: each hop validates
 // the predecessor's word while publishing protection for the successor.
-// Under hazard pointers a hop costs one seq_cst publish: the two hop slots
+// A hop costs one seq_cst publish: the two hop slots
 // rotate, so the new pred keeps the hazard it got as the successor. A
 // search promotes into its per-level slots only the preds the insert will
 // splice at (levels below the new tower's height, each distinct pred
@@ -72,14 +71,12 @@
 //   unlink-to-retire window and orphan the new node on a freed tower.
 //
 // Only after every upper level is unlinked does the bottom word get
-// poisoned (seq_cst) and the node retired. Under hazard pointers this
-// gives the store-buffering argument (DESIGN.md §8.2): a reader's
+// poisoned (seq_cst) and the node retired. This gives the
+// store-buffering argument (DESIGN.md §8.2): a reader's
 // validating load either observes the poison (it restarts) or precedes it
 // in the SC order — and since poisoning a node precedes retiring every
 // LATER chain node, the reader's already-published hazard is visible to
-// any scan that could free its successor. Under epochs the guard's pin
-// makes every node retired during the traversal ineligible for
-// reclamation until the guard exits.
+// any scan that could free its successor.
 //
 // Insert raises the tower level by level after the bottom splice; a node
 // deleted mid-insert can meet the restructurer, which must not retire it
@@ -122,7 +119,7 @@
 //     structure untouched and the node freed — no leak, no torn tower.
 //
 // After a crash, a survivor (or the harness) must call adopt_orphans() so
-// the dead processor's hazard slots / epoch pin and limbo are taken over;
+// the dead processor's hazard slots and limbo are taken over;
 // see reclaim.hpp.
 #pragma once
 
@@ -150,7 +147,8 @@ class LockfreeSkipListPq {
   static constexpr u32 kMaxHeight = 12;
 
   explicit LockfreeSkipListPq(const PqParams& params)
-      : npriorities_(params.npriorities), domain_(params.maxprocs, domain_options(params)) {
+      : npriorities_(params.npriorities),
+        domain_(params.maxprocs, {.slots_per_proc = kSlots, .tag_mask = kTagMask}) {
     params.validate();
     head_ = alloc_node(0, 0, kMaxHeight);
     tail_ = alloc_node(npriorities_, 0, kMaxHeight);
@@ -349,7 +347,7 @@ class LockfreeSkipListPq {
 
   /// Fault-battery hook: after processor `dead` fail-stopped, a survivor
   /// (or the teardown path) takes over its reclamation state — stale
-  /// hazards / epoch pin and limbo — so reclamation unwedges and the
+  /// hazards and limbo — so reclamation unwedges and the
   /// domain can be destroyed cleanly. See reclaim::Domain::adopt_orphans.
   void adopt_orphans(ProcId dead, ProcId adopter) { domain_.adopt_orphans(dead, adopter); }
 
@@ -426,14 +424,6 @@ class LockfreeSkipListPq {
 
   static void retire_node(reclaim::Guard<P>& g, Node* n) {
     g.retire(n, [](void* q) { free_node(static_cast<Node*>(q)); });
-  }
-
-  static reclaim::DomainOptions domain_options(const PqParams& p) {
-    reclaim::DomainOptions o;
-    o.policy = p.reclaim_policy;
-    o.slots_per_proc = kSlots;
-    o.tag_mask = kTagMask;
-    return o;
   }
 
   /// Find, per level, the last node with key <= `key` among live nodes

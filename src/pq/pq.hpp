@@ -73,8 +73,9 @@ struct PqParams {
   u32 heap_capacity = 1u << 16;
   /// Seed for structure-construction randomness (skip-list levels).
   u64 seed = 1;
-  /// Memory-reclamation policy for the dynamically-allocated queues
-  /// (LockfreeSkiplist); the array-based queues ignore it.
+  /// Memory-reclamation policy of LockfreeSkiplist. Hazard pointers are
+  /// the only scheme, so nothing reads this; it stays while the benchmark
+  /// driver still sets it (reclaim/policy.hpp).
   reclaim::Policy reclaim_policy = reclaim::Policy::kHazardPointer;
   /// Largest batch the funnel queues aggregate in one traversal; larger
   /// insert_batch/delete_min_batch requests are chunked. Sizes the
@@ -124,8 +125,8 @@ class IPriorityQueue {
   virtual PqStatus try_insert(Prio prio, Item item, const TryBudget& budget) = 0;
   virtual PqStatus try_delete_min(Entry& out, const TryBudget& budget) = 0;
   /// Fault-battery hook (default no-op): take over the reclamation state of
-  /// the fail-stopped processor `dead` — stale hazard slots / epoch pin and
-  /// limbo — on behalf of the surviving `adopter`. Queues without dynamic
+  /// the fail-stopped processor `dead` — stale hazard slots and limbo — on
+  /// behalf of the surviving `adopter`. Queues without dynamic
   /// reclamation have nothing to adopt. See reclaim::Domain::adopt_orphans.
   virtual void adopt_orphans(ProcId dead, ProcId adopter) {
     (void)dead;

@@ -1,4 +1,5 @@
-// Hazard-pointer reclamation (Michael 2004), shaped after the peek /
+// Hazard-pointer reclamation (Michael 2004), the one reclamation scheme
+// behind reclaim::Guard (DESIGN.md §11). Shaped after the peek /
 // promote idiom of jonatanlinden/prioq (SNIPPETS.md Snippet 3): a reader
 // *peeks* a candidate pointer, publishes it to one of its hazard slots,
 // then re-validates the source word; a validated candidate may later be
@@ -29,26 +30,47 @@
 
 namespace fpq::reclaim {
 
+struct DomainOptions {
+  /// Hazard slots per processor. Structures size this to their deepest
+  /// hand-over-hand chain; unused slots cost one cache line each.
+  u32 slots_per_proc = 8;
+  /// Retirements per processor between reclamation scans.
+  u32 scan_threshold = 64;
+  /// Low pointer bits used as tags by the client structure; protect()
+  /// strips them before publishing a hazard.
+  u64 tag_mask = 0;
+};
+
+struct DomainStats {
+  u64 retired = 0;
+  u64 reclaimed = 0;
+  u64 in_limbo = 0;
+};
+
+/// Owns the reclamation state of one structure: the hazard slots, the
+/// per-processor limbo lists, and the retire/scan machinery.
 template <Platform P>
-class HazardDomain {
+class Domain {
   template <class T>
   using Shared = typename P::template Shared<T>;
 
  public:
-  HazardDomain(u32 maxprocs, u32 slots_per_proc, u32 scan_threshold, u64 tag_mask)
+  explicit Domain(u32 maxprocs, DomainOptions opt = {})
       : maxprocs_(maxprocs),
-        slots_per_proc_(slots_per_proc),
-        scan_threshold_(std::max(1u, scan_threshold)),
-        tag_mask_(tag_mask),
-        slots_(static_cast<std::size_t>(maxprocs) * slots_per_proc),
+        slots_per_proc_(opt.slots_per_proc),
+        scan_threshold_(std::max(1u, opt.scan_threshold)),
+        tag_mask_(opt.tag_mask),
+        slots_(static_cast<std::size_t>(maxprocs) * opt.slots_per_proc),
         procs_(maxprocs) {
-    FPQ_ASSERT_MSG(maxprocs >= 1 && slots_per_proc >= 1 && slots_per_proc <= 64,
+    FPQ_ASSERT_MSG(maxprocs >= 1 && slots_per_proc_ >= 1 && slots_per_proc_ <= 64,
                    "hazard domain sizing (Guard tracks slots in a 64-bit mask)");
   }
 
-  ~HazardDomain() {
+  /// Flushes, then asserts limbo emptied: owners must quiesce before
+  /// destroying the domain, so a leak fails loudly in every test.
+  ~Domain() {
     flush();
-    FPQ_ASSERT_MSG(in_limbo() == 0,
+    FPQ_ASSERT_MSG(stats().in_limbo == 0,
                    "hazard domain destroyed with protected nodes still in limbo "
                    "(a Guard outlived its Domain?)");
   }
@@ -102,8 +124,9 @@ class HazardDomain {
     if (pr.limbo.size() >= scan_threshold_) scan(pr);
   }
 
-  /// Quiescent-only: scan every processor's limbo list once. Anything
-  /// still protected stays (the destructor asserts nothing is).
+  /// Quiescent-only: scan every processor's limbo list once, freeing
+  /// everything once no Guard is live. Anything still protected stays
+  /// (the destructor asserts nothing is).
   void flush() {
     for (auto& pp : procs_) scan(pp.value);
   }
@@ -115,7 +138,8 @@ class HazardDomain {
   /// reader's stale hazards pin its own and every other processor's limbo
   /// entries forever, and the destructor's empty-limbo assert (kept — it
   /// still guards the no-fault protocol) would fire. The caller guarantees
-  /// `dead` is permanently stopped and serializes adoptions.
+  /// `dead` is permanently stopped and serializes adoptions, and calls
+  /// this before the domain is destroyed.
   void adopt_orphans(ProcId dead, ProcId adopter) {
     FPQ_ASSERT_MSG(dead < maxprocs_ && adopter < maxprocs_ && dead != adopter,
                    "orphan adoption needs a distinct in-range survivor");
@@ -127,12 +151,14 @@ class HazardDomain {
     scan(to);
   }
 
-  u64 retired() const { return sum(&Proc::retired); }
-  u64 reclaimed() const { return sum(&Proc::reclaimed); }
-  u64 in_limbo() const {
-    u64 n = 0;
-    for (const auto& pp : procs_) n += pp.value.limbo.size();
-    return n;
+  DomainStats stats() const {
+    DomainStats s;
+    for (const auto& pp : procs_) {
+      s.retired += pp.value.retired;
+      s.reclaimed += pp.value.reclaimed;
+      s.in_limbo += pp.value.limbo.size();
+    }
+    return s;
   }
 
  private:
@@ -171,12 +197,6 @@ class HazardDomain {
       }
     }
     pr.limbo.swap(keep);
-  }
-
-  u64 sum(u64 Proc::* field) const {
-    u64 n = 0;
-    for (const auto& pp : procs_) n += pp.value.*field;
-    return n;
   }
 
   u32 maxprocs_;

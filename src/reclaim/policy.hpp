@@ -3,36 +3,16 @@
 // domain machinery.
 #pragma once
 
-#include <stdexcept>
-#include <string>
-#include <string_view>
-
 #include "common/types.hpp"
 
 namespace fpq::reclaim {
 
-/// The two interchangeable reclamation schemes behind reclaim::Domain
-/// (DESIGN.md §11): hazard pointers protect individual nodes and bound
-/// unreclaimed garbage per retirement scan; epochs protect whole critical
-/// sections and make reads cheaper at the cost of garbage bounded only by
-/// grace-period progress.
+/// Hazard pointers are the one reclamation scheme (DESIGN.md §11), so this
+/// has one value. It remains because the benchmark driver
+/// (perfbench/pqbench.cpp) sets PqParams::reclaim_policy by name; it goes
+/// when that assignment does.
 enum class Policy : u8 {
   kHazardPointer,
-  kEpoch,
 };
-
-inline std::string_view to_string(Policy p) {
-  switch (p) {
-    case Policy::kHazardPointer: return "hp";
-    case Policy::kEpoch: return "ebr";
-  }
-  return "?";
-}
-
-inline Policy policy_from_string(std::string_view name) {
-  if (name == "hp") return Policy::kHazardPointer;
-  if (name == "ebr") return Policy::kEpoch;
-  throw std::invalid_argument("unknown reclaim policy: " + std::string(name));
-}
 
 } // namespace fpq::reclaim

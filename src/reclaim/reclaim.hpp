@@ -1,119 +1,31 @@
 // Safe memory reclamation for lock-free structures (DESIGN.md §11).
 //
-// One API, two interchangeable policies:
+// One API over hazard pointers:
 //
 //   reclaim::Domain<P>  — owns the reclamation state for one structure:
-//                         hazard slots or epoch words, per-processor limbo
-//                         lists, and the retire/scan machinery.
-//   reclaim::Guard<P>   — RAII critical section. Under hazard pointers it
-//                         manages the caller's slots (peek/promote/clear);
-//                         under epochs it pins the epoch for its lifetime.
-//                         retire() hands a node to the domain; its deleter
-//                         runs once no reader can hold a reference.
+//                         hazard slots, per-processor limbo lists, and the
+//                         retire/scan machinery (hazard.hpp).
+//   reclaim::Guard<P>   — RAII critical section that manages the caller's
+//                         hazard slots (peek/promote/clear) and clears the
+//                         ones it used on exit. retire() hands a node to the
+//                         domain; its deleter runs once no reader can hold
+//                         a reference.
 //
-// Protocol contract (both policies): a node must be unreachable from the
-// structure's shared words *before* retire() is called; readers must reach
-// nodes only through Guard::protect / protect_value hand-over-hand chains
-// (HP), or entirely within one Guard's lifetime (EBR). The policies are
-// runtime-selected so test batteries and benchmarks sweep both over the
-// same structure; the hot-path dispatch is one predictable branch.
+// Protocol contract: a node must be unreachable from the structure's shared
+// words *before* retire() is called, and readers must reach nodes only
+// through Guard::protect / protect_value hand-over-hand chains.
 //
 // Everything is templated on Platform, so the same code runs natively and
 // under the simulator with its declared memory orders visible to the race
-// detector (DESIGN.md §10); the seq_cst handshakes live in hazard.hpp /
-// epoch.hpp and are argued there and in the §8.2 table.
+// detector (DESIGN.md §10); the seq_cst handshake lives in hazard.hpp and
+// is argued there and in the §8.2 table.
 #pragma once
 
-#include <optional>
-
-#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "platform/platform.hpp"
-#include "reclaim/epoch.hpp"
 #include "reclaim/hazard.hpp"
-#include "reclaim/policy.hpp"
 
 namespace fpq::reclaim {
-
-struct DomainOptions {
-  Policy policy = Policy::kHazardPointer;
-  /// Hazard slots per processor (HP only). Structures size this to their
-  /// deepest hand-over-hand chain; unused slots cost one cache line each.
-  u32 slots_per_proc = 8;
-  /// Retirements per processor between reclamation scans.
-  u32 scan_threshold = 64;
-  /// Low pointer bits used as tags by the client structure; protect()
-  /// strips them before publishing a hazard.
-  u64 tag_mask = 0;
-};
-
-struct DomainStats {
-  u64 retired = 0;
-  u64 reclaimed = 0;
-  u64 in_limbo = 0;
-};
-
-template <Platform P>
-class Domain {
-  template <class T>
-  using Shared = typename P::template Shared<T>;
-
- public:
-  Domain(u32 maxprocs, DomainOptions opt = {}) : opt_(opt) {
-    if (opt.policy == Policy::kHazardPointer)
-      hp_.emplace(maxprocs, opt.slots_per_proc, opt.scan_threshold, opt.tag_mask);
-    else
-      ebr_.emplace(maxprocs, opt.scan_threshold);
-  }
-
-  Policy policy() const { return opt_.policy; }
-
-  void retire(ProcId self, void* p, void (*deleter)(void*)) {
-    if (hp_)
-      hp_->retire(self, p, deleter);
-    else
-      ebr_->retire(self, p, deleter);
-  }
-
-  /// Quiescent-only: drain limbo as far as safety allows (fully, once no
-  /// Guard is live). The destructor flushes too and asserts limbo empties.
-  void flush() {
-    if (hp_)
-      hp_->flush();
-    else
-      ebr_->flush();
-  }
-
-  /// Fault path (DESIGN.md §12): adopt the reclamation state of the
-  /// fail-stopped processor `dead` onto the surviving `adopter` — clear
-  /// stale hazard slots / force-unpin the dead epoch, splice limbo over,
-  /// and scan. Must run before the Domain is destroyed when a fault plan
-  /// crashed or wedged a processor mid-guard; the destructor's empty-limbo
-  /// assert stays in force either way.
-  void adopt_orphans(ProcId dead, ProcId adopter) {
-    if (hp_)
-      hp_->adopt_orphans(dead, adopter);
-    else
-      ebr_->adopt_orphans(dead, adopter);
-  }
-
-  DomainStats stats() const {
-    DomainStats s;
-    s.retired = hp_ ? hp_->retired() : ebr_->retired();
-    s.reclaimed = hp_ ? hp_->reclaimed() : ebr_->reclaimed();
-    s.in_limbo = hp_ ? hp_->in_limbo() : ebr_->in_limbo();
-    return s;
-  }
-
-  bool hp_is_active() const { return hp_.has_value(); }
-  HazardDomain<P>& hp() { return *hp_; }
-  EpochDomain<P>& ebr() { return *ebr_; }
-
- private:
-  DomainOptions opt_;
-  std::optional<HazardDomain<P>> hp_;
-  std::optional<EpochDomain<P>> ebr_;
-};
 
 /// RAII reader section. Construct inside a P::run (uses P::self()); one
 /// live Guard per processor per domain at a time.
@@ -123,44 +35,30 @@ class Guard {
   using Shared = typename P::template Shared<T>;
 
  public:
-  explicit Guard(Domain<P>& d) : d_(d), self_(P::self()) {
-    if (!d_.hp_is_active()) d_.ebr().pin(self_);
-  }
+  explicit Guard(Domain<P>& d) : d_(d), self_(P::self()) {}
   ~Guard() {
-    if (d_.hp_is_active()) {
-      for (u32 s = 0; used_ >> s; ++s)
-        if ((used_ >> s) & 1) d_.hp().clear(self_, s);
-    } else {
-      d_.ebr().unpin(self_);
-    }
+    for (u32 s = 0; used_ >> s; ++s)
+      if ((used_ >> s) & 1) d_.clear(self_, s);
   }
   Guard(const Guard&) = delete;
   Guard& operator=(const Guard&) = delete;
 
   /// Peek `src` and protect the pointer it holds via `slot`; returns the
-  /// validated word (tag bits included). Under EBR the pin already covers
-  /// every node reachable during the guard, so this is a plain acquire.
+  /// validated word (tag bits included).
   u64 protect(u32 slot, const Shared<u64>& src) {
-    if (d_.hp_is_active()) {
-      used_ |= u64{1} << slot;
-      return d_.hp().protect(self_, slot, src);
-    }
-    return src.load_acquire();
+    used_ |= u64{1} << slot;
+    return d_.protect(self_, slot, src);
   }
 
   /// Promote an already-protected word into `slot` (no validation).
   void protect_value(u32 slot, u64 w) {
-    if (d_.hp_is_active()) {
-      used_ |= u64{1} << slot;
-      d_.hp().protect_value(self_, slot, w);
-    }
+    used_ |= u64{1} << slot;
+    d_.protect_value(self_, slot, w);
   }
 
   void clear(u32 slot) {
-    if (d_.hp_is_active()) {
-      used_ &= ~(u64{1} << slot);
-      d_.hp().clear(self_, slot);
-    }
+    used_ &= ~(u64{1} << slot);
+    d_.clear(self_, slot);
   }
 
   void retire(void* p, void (*deleter)(void*)) { d_.retire(self_, p, deleter); }
@@ -172,7 +70,7 @@ class Guard {
  private:
   Domain<P>& d_;
   ProcId self_;
-  u64 used_ = 0; // HP slots touched by this guard, cleared on exit
+  u64 used_ = 0; // slots touched by this guard, cleared on exit
 };
 
 } // namespace fpq::reclaim

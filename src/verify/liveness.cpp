@@ -2,7 +2,6 @@
 
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "pq/pq.hpp"
@@ -24,61 +23,10 @@ bool targeted(const sim::FaultPlan& plan, ProcId p) {
 
 } // namespace
 
-std::string to_line(const LivenessSpec& s) {
-  std::ostringstream os;
-  os << "algo=" << to_string(s.algo) << " reclaim=" << reclaim::to_string(s.reclaim)
-     << " seed=" << s.seed << " procs=" << s.nprocs << " ops=" << s.ops_per_proc
-     << " nprio=" << s.npriorities << " ins=" << s.insert_percent
-     << " faults=" << sim::to_string(s.faults) << " watchdog=" << s.watchdog;
-  return os.str();
-}
-
-LivenessSpec liveness_spec_from_line(const std::string& line) {
-  LivenessSpec s;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) {
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos)
-      throw std::invalid_argument("liveness spec token without '=': " + tok);
-    const std::string key = tok.substr(0, eq);
-    const std::string val = tok.substr(eq + 1);
-    try {
-      if (key == "algo") {
-        s.algo = algorithm_from_string(val);
-      } else if (key == "reclaim") {
-        s.reclaim = reclaim::policy_from_string(val);
-      } else if (key == "seed") {
-        s.seed = std::stoull(val);
-      } else if (key == "procs") {
-        s.nprocs = static_cast<u32>(std::stoul(val));
-      } else if (key == "ops") {
-        s.ops_per_proc = static_cast<u32>(std::stoul(val));
-      } else if (key == "nprio") {
-        s.npriorities = static_cast<u32>(std::stoul(val));
-      } else if (key == "ins") {
-        s.insert_percent = static_cast<u32>(std::stoul(val));
-      } else if (key == "faults") {
-        s.faults = sim::fault_plan_from_string(val);
-      } else if (key == "watchdog") {
-        s.watchdog = std::stoull(val);
-      } else {
-        throw std::invalid_argument("unknown liveness spec key: " + key);
-      }
-    } catch (const std::logic_error& e) {
-      throw std::invalid_argument("bad liveness spec token '" + tok + "': " + e.what());
-    }
-  }
-  if (s.nprocs < 1 || s.npriorities < 1)
-    throw std::invalid_argument("liveness spec needs procs and nprio >= 1");
-  return s;
-}
-
 LivenessResult run_liveness(const LivenessSpec& spec) {
   PqParams params{.npriorities = spec.npriorities, .maxprocs = spec.nprocs,
                   .bin_capacity = 1u << 13};
   params.seed = spec.seed;
-  params.reclaim_policy = spec.reclaim;
   if (spec.algo == Algorithm::kSharded) {
     // The composite's declared kBlocking guarantee comes from exactly one
     // window: a client spinning behind a crashed combiner that holds a
@@ -134,7 +82,7 @@ LivenessResult run_liveness(const LivenessSpec& spec) {
                    : ProgressGuarantee::kBlocking;
 
   // Sweep reclamation state onto a live processor so the queue's domain
-  // destructs cleanly (stale hazards / epoch pins of downed fibers).
+  // destructs cleanly (stale hazards of downed fibers).
   ProcId adopter = 0;
   while (adopter < spec.nprocs &&
          r.report.outcomes[adopter] != sim::ProcOutcome::kCompleted)
@@ -180,7 +128,6 @@ std::vector<LivenessRow> run_liveness_battery(const LivenessBatteryOptions& opt,
     auto run_plan = [&](const std::string& plan) {
       LivenessSpec spec;
       spec.algo = algo;
-      spec.reclaim = opt.reclaim;
       spec.seed = opt.seed;
       spec.nprocs = opt.nprocs;
       spec.ops_per_proc = opt.ops_per_proc;

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/registry.hpp"
-#include "reclaim/policy.hpp"
 #include "sim/faults.hpp"
 #include "platform/sim.hpp"
 
@@ -36,7 +35,6 @@ namespace fpq::verify {
 
 struct LivenessSpec {
   Algorithm algo = Algorithm::kSingleLock;
-  reclaim::Policy reclaim = reclaim::Policy::kHazardPointer;
   u64 seed = 1;
   u32 nprocs = 4;
   u32 ops_per_proc = 32;
@@ -52,10 +50,6 @@ struct LivenessSpec {
   /// access count of the longest legitimate single operation.
   u64 watchdog = 20000;
 };
-
-/// One-line key=value serialization (replay-spec style).
-std::string to_line(const LivenessSpec& s);
-LivenessSpec liveness_spec_from_line(const std::string& line);
 
 struct LivenessResult {
   LivenessSpec spec;
@@ -93,8 +87,7 @@ struct LivenessRow {
 };
 
 struct LivenessBatteryOptions {
-  std::vector<Algorithm> algorithms; // empty = all eight
-  reclaim::Policy reclaim = reclaim::Policy::kHazardPointer;
+  std::vector<Algorithm> algorithms; // empty = all nine
   u64 seed = 1;
   u32 nprocs = 4;
   u32 ops_per_proc = 32;

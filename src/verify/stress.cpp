@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse.hpp"
 #include "verify/linearizability.hpp"
 #include "verify/quiescent.hpp"
 #include "verify/rank_error.hpp"
@@ -95,8 +96,7 @@ std::string to_line(const StressSpec& s) {
      << " seed=" << s.seed << " procs=" << s.nprocs << " ops=" << s.ops_per_proc
      << " nprio=" << s.npriorities << " ins=" << s.insert_percent
      << " permille=" << s.perturb_permille << " maxdelay=" << s.max_delay
-     << " jitter=" << s.access_jitter << " batch=" << s.batch
-     << " reclaim=" << reclaim::to_string(s.reclaim) << " funnel=" << to_string(s.funnel);
+     << " jitter=" << s.access_jitter << " batch=" << s.batch << " funnel=" << to_string(s.funnel);
   // Sharding keys only for the sharded composite, so every other
   // algorithm's replay lines stay byte-identical to what earlier versions
   // emitted.
@@ -126,7 +126,7 @@ sim::SchedulePolicy policy_from_string(std::string_view name) {
 }
 
 void set_spec_key(StressSpec& s, std::string_view key, const std::string& val) {
-  const auto u32_val = [&val] { return static_cast<u32>(std::stoul(val)); };
+  const auto u32_val = [&val] { return static_cast<u32>(parse_whole(val, UINT32_MAX)); };
   try {
     if (key == "algo") {
       s.algo = algorithm_from_string(val);
@@ -134,7 +134,7 @@ void set_spec_key(StressSpec& s, std::string_view key, const std::string& val) {
       // "schedule" mirrors the fpq_stress --schedule= flag.
       s.policy = policy_from_string(val);
     } else if (key == "seed") {
-      s.seed = std::stoull(val);
+      s.seed = parse_whole(val);
     } else if (key == "procs") {
       s.nprocs = u32_val();
     } else if (key == "ops") {
@@ -146,13 +146,11 @@ void set_spec_key(StressSpec& s, std::string_view key, const std::string& val) {
     } else if (key == "permille") {
       s.perturb_permille = u32_val();
     } else if (key == "maxdelay") {
-      s.max_delay = std::stoull(val);
+      s.max_delay = parse_whole(val);
     } else if (key == "jitter") {
-      s.access_jitter = std::stoull(val);
+      s.access_jitter = parse_whole(val);
     } else if (key == "batch") {
       s.batch = u32_val();
-    } else if (key == "reclaim") {
-      s.reclaim = reclaim::policy_from_string(val);
     } else if (key == "funnel") {
       if (!funnel_protocol_from_string(val, s.funnel))
         throw std::invalid_argument("unknown funnel protocol: " + val);
@@ -170,18 +168,18 @@ void set_spec_key(StressSpec& s, std::string_view key, const std::string& val) {
     } else if (key == "faults") {
       s.faults = sim::fault_plan_from_string(val);
     } else if (key == "watchdog") {
-      s.watchdog = std::stoull(val);
+      s.watchdog = parse_whole(val);
     } else if (key == "preempt_bound") {
       s.preempt_bound = u32_val();
     } else if (key == "max_execs") {
-      s.max_execs = std::stoull(val);
+      s.max_execs = parse_whole(val);
     } else if (key == "trace") {
-      s.trace = std::stoull(val);
+      s.trace = parse_whole(val);
     } else {
       throw std::invalid_argument("unknown stress spec key: " + std::string(key));
     }
   } catch (const std::logic_error& e) {
-    // std::sto* throw bare "stoul"; name the offending token instead.
+    // Name the offending token, not just what was wrong with it.
     throw std::invalid_argument("bad stress spec token '" + std::string(key) + "=" + val +
                                 "': " + e.what());
   }
@@ -238,7 +236,6 @@ std::optional<StressFailure> run_one_execution(const QueueFactory& make,
                   .bin_capacity = 1u << 13};
   params.seed = spec.seed;
   params.max_batch = spec.batch;
-  params.reclaim_policy = spec.reclaim;
   params.shard = shard_config(spec);
   auto pq = make(params);
   HistoryRecorder rec(spec.nprocs);
@@ -365,7 +362,7 @@ std::optional<StressFailure> run_one_execution(const QueueFactory& make,
 
   if (spec.faulted()) {
     // Sweep every other processor's reclamation state onto the drainer:
-    // downed processors can never clear their own hazards / epoch pin, and
+    // downed processors can never clear their own hazards, and
     // without adoption the queue's domain destructor would assert on the
     // limbo their stale protections pin.
     for (ProcId p = 0; p < spec.nprocs; ++p)

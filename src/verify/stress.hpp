@@ -33,7 +33,6 @@
 
 #include "core/registry.hpp"
 #include "funnel/params.hpp"
-#include "reclaim/policy.hpp"
 #include "platform/sim.hpp"
 #include "sim/explore.hpp"
 #include "sim/faults.hpp"
@@ -61,9 +60,6 @@ struct StressSpec {
   /// element is recorded as its own operation sharing the batch's
   /// [invoke, response] window, so the same checkers apply unchanged.
   u32 batch = 1;
-  /// Memory-reclamation policy for the queues that reclaim through
-  /// reclaim::Domain (PqParams::reclaim_policy); ignored by the rest.
-  reclaim::Policy reclaim = reclaim::Policy::kHazardPointer;
   /// Funnel collision protocol (FunnelOptions::protocol) for the funnel
   /// queues — exchange (paper) or aggregate (Roh et al. '24); ignored by
   /// the rest.
@@ -116,7 +112,8 @@ std::string to_line(const StressSpec& s);
 /// Parses to_line output (order-insensitive); throws std::invalid_argument.
 StressSpec spec_from_line(const std::string& line);
 /// Sets one replay-line key (`schedule` is an alias of `policy`); throws
-/// std::invalid_argument for an unknown key or a malformed value. The one
+/// std::invalid_argument for an unknown key or a malformed value (numbers
+/// are whole decimals, common/parse.hpp). The one
 /// parser behind spec_from_line and fpq_stress's workload flags.
 void set_spec_key(StressSpec& s, std::string_view key, const std::string& val);
 /// Throws std::invalid_argument unless procs, ops, nprio and batch are

@@ -287,8 +287,8 @@ inline sim::ExploreOutcome explore_reactive(u32 nprocs, u32 ops,
 inline sim::ExploreOutcome explore_hazard(const sim::ExploreParams& ep = {}) {
   return sim::explore_all(
       2, litmus_machine(), /*seed=*/1, ep, [&](sim::Engine& eng, std::string& diag) {
-        reclaim::HazardDomain<SimPlatform> dom(/*maxprocs=*/2, /*slots_per_proc=*/1,
-                                               /*scan_threshold=*/1, /*tag_mask=*/0);
+        reclaim::Domain<SimPlatform> dom(/*maxprocs=*/2,
+                                         {.slots_per_proc = 1, .scan_threshold = 1});
         SimShared<u64> src{0x1000};
         alignas(8) static char dummy[8]; // address payload only; never freed
         eng.run([&](ProcId id) {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "verify/liveness.hpp"
 #include "verify/stress.hpp"
 
@@ -63,12 +64,12 @@ struct SpecFlag {
   const char* key;
 };
 constexpr SpecFlag kSpecFlags[] = {
-    {"--seed-base", "seed"}, {"--procs", "procs"},       {"--ops", "ops"},
-    {"--nprio", "nprio"},    {"--insert-pct", "ins"},    {"--jitter", "jitter"},
-    {"--batch", "batch"},    {"--reclaim", "reclaim"},   {"--funnel", "funnel"},
-    {"--shards", "shards"},  {"--sample-c", "c"},        {"--policy", "mode"},
-    {"--faults", "faults"},  {"--watchdog", "watchdog"}, {"--preempt-bound", "preempt_bound"},
-    {"--max-execs", "max_execs"},
+    {"--seed-base", "seed"},    {"--procs", "procs"},       {"--ops", "ops"},
+    {"--nprio", "nprio"},       {"--insert-pct", "ins"},    {"--jitter", "jitter"},
+    {"--batch", "batch"},       {"--funnel", "funnel"},     {"--shards", "shards"},
+    {"--sample-c", "c"},        {"--policy", "mode"},       {"--faults", "faults"},
+    {"--watchdog", "watchdog"}, {"--max-execs", "max_execs"},
+    {"--preempt-bound", "preempt_bound"},
 };
 
 int usage(const char* argv0) {
@@ -86,7 +87,6 @@ int usage(const char* argv0) {
       << "  --seed-base=N        first seed (default 1)\n"
       << "  --procs=N --ops=N --nprio=N --insert-pct=N --jitter=N   workload shape\n"
       << "  --batch=N            group ops into insert_batch/delete_min_batch calls\n"
-      << "  --reclaim=hp|ebr     memory-reclamation policy for reclaiming queues\n"
       << "  --funnel=exchange|aggregate   funnel collision protocol (DESIGN.md §13)\n"
       << "  --shards=K           sub-queue count for the Sharded composite (0=auto)\n"
       << "  --sample-c=N         delete-min sample width; 0 or >=K scans every shard\n"
@@ -146,9 +146,9 @@ int main(int argc, char** argv) {
       } else if (is("--schedule")) {
         sweep.policies.push_back(policy_from_string(val));
       } else if (is("--seeds")) {
-        sweep.seeds = static_cast<fpq::u32>(std::stoul(val));
+        sweep.seeds = static_cast<fpq::u32>(fpq::parse_whole(val, UINT32_MAX));
       } else if (is("--max-failures")) {
-        sweep.max_failures = static_cast<fpq::u32>(std::stoul(val));
+        sweep.max_failures = static_cast<fpq::u32>(fpq::parse_whole(val, UINT32_MAX));
       } else if (arg == "--liveness") {
         liveness = true;
       } else if (arg == "--race-detect") {
@@ -185,7 +185,6 @@ int main(int argc, char** argv) {
   if (liveness) {
     LivenessBatteryOptions lopt;
     lopt.algorithms = sweep.algorithms;
-    lopt.reclaim = base.reclaim;
     lopt.seed = base.seed;
     if (procs_set) lopt.nprocs = base.nprocs;
     if (ops_set) lopt.ops_per_proc = base.ops_per_proc;

@@ -30,7 +30,6 @@
 namespace fpq {
 namespace {
 
-using reclaim::Policy;
 using sim::FaultKind;
 using sim::FaultPlan;
 using sim::ProcOutcome;
@@ -83,46 +82,27 @@ TEST(FaultPlan, StressSpecCarriesFaultKeys) {
   EXPECT_FALSE(verify::spec_from_line(line).faulted());
 }
 
-TEST(FaultPlan, LivenessSpecRoundTrips) {
-  verify::LivenessSpec s;
-  s.algo = Algorithm::kFunnelTree;
-  s.reclaim = Policy::kEpoch;
-  s.seed = 7;
-  s.nprocs = 3;
-  s.ops_per_proc = 9;
-  s.faults = sim::fault_plan_from_string("stall@p1a250");
-  s.watchdog = 4096;
-  const verify::LivenessSpec r = verify::liveness_spec_from_line(verify::to_line(s));
-  EXPECT_EQ(verify::to_line(r), verify::to_line(s));
-  EXPECT_EQ(r.algo, Algorithm::kFunnelTree);
-  EXPECT_EQ(r.watchdog, 4096u);
-}
-
 // --------------------------------------------- progress classification --
 
-struct FaultPolicyCase {
-  Policy policy;
-};
-void PrintTo(const FaultPolicyCase& c, std::ostream* os) {
-  *os << (c.policy == Policy::kHazardPointer ? "Hp" : "Ebr");
-}
+// Parameterized with one value, hazard pointers, so the instance names
+// (`/Hp`) stay stable for result tracking.
+struct FaultPolicyCase {};
+void PrintTo(const FaultPolicyCase&, std::ostream* os) { *os << "Hp"; }
 
 class LockfreeSurvivesCrash : public ::testing::TestWithParam<FaultPolicyCase> {};
 
 // The acceptance centerpiece: fail-stop one processor at several depths —
 // including mid-insert and mid-restructure — and every survivor still
-// completes its full quota of operations, under both reclamation policies.
-// The post-run orphan adoption inside run_liveness also exercises teardown:
-// the crashed processor's stale hazard slots / epoch pin and limbo are
-// adopted by a survivor, and the domain destructor's empty-limbo assert
-// holds.
+// completes its full quota of operations. The post-run orphan adoption
+// inside run_liveness also exercises teardown: the crashed processor's
+// stale hazard slots and limbo are adopted by a survivor, and the domain
+// destructor's empty-limbo assert holds.
 TEST_P(LockfreeSurvivesCrash, SurvivorsCompleteUnderEveryPlan) {
   for (const char* plan : {"crash@p1a100", "crash@p1a121", "crash@p1a200",
                            "crash@p1a350", "crash@p1a500", "crash@p1a1500",
                            "stall@p1a250", "stall@p1a900"}) {
     verify::LivenessSpec spec;
     spec.algo = Algorithm::kLockfreeSkipList;
-    spec.reclaim = GetParam().policy;
     spec.faults = sim::fault_plan_from_string(plan);
     const verify::LivenessResult r = verify::run_liveness(spec);
     EXPECT_EQ(r.survivors, spec.nprocs - 1) << plan;
@@ -139,8 +119,7 @@ TEST_P(LockfreeSurvivesCrash, SurvivorsCompleteUnderEveryPlan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LockfreeSurvivesCrash,
-                         ::testing::Values(FaultPolicyCase{Policy::kHazardPointer},
-                                           FaultPolicyCase{Policy::kEpoch}),
+                         ::testing::Values(FaultPolicyCase{}),
                          ::testing::PrintToStringParamName());
 
 // The whole registry through the battery: every declared-lock-free queue
@@ -246,7 +225,6 @@ TEST_P(AllocFaults, SkiplistUnwindsCleanlyWithZeroLeaks) {
   {
     constexpr u32 kProcs = 4;
     PqParams params{.npriorities = 4, .maxprocs = kProcs};
-    params.reclaim_policy = GetParam().policy;
     LockfreeSkipListPq<SimPlatform> pq(params);
 
     sim::Engine eng(kProcs, {}, /*seed=*/3);
@@ -291,7 +269,6 @@ TEST_P(AllocFaults, SkiplistUnwindsCleanlyWithZeroLeaks) {
 
 TEST_P(AllocFaults, TryInsertReportsNoMemory) {
   PqParams params{.npriorities = 2, .maxprocs = 1};
-  params.reclaim_policy = GetParam().policy;
   LockfreeSkipListPq<SimPlatform> pq(params);
   sim::Engine eng(1, {}, /*seed=*/1);
   FaultPlan plan;
@@ -308,8 +285,7 @@ TEST_P(AllocFaults, TryInsertReportsNoMemory) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, AllocFaults,
-                         ::testing::Values(FaultPolicyCase{Policy::kHazardPointer},
-                                           FaultPolicyCase{Policy::kEpoch}),
+                         ::testing::Values(FaultPolicyCase{}),
                          ::testing::PrintToStringParamName());
 
 // -------------------------------------------------- transient injection --

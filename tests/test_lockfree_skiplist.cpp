@@ -1,8 +1,7 @@
 // Targeted tests for LockfreeSkipListPq (pq/lockfree_skiplist_pq.hpp):
-// the delete-min-racing-insert-at-the-same-key regression the ISSUE calls
-// out, reclamation accounting under both policies, and restructure-heavy
-// schedules driven through the verify harness's exhaustive linearizability
-// checker on small histories.
+// the delete-min-racing-insert-at-the-same-key regression, reclamation
+// accounting, and restructure-heavy schedules driven through the verify
+// harness's exhaustive linearizability checker on small histories.
 //
 // The same-key race is the spot where a marked-prefix design can go wrong:
 // a delete_min claims the first live node with key k while an insert
@@ -28,14 +27,14 @@ namespace {
 
 using reclaim::Policy;
 
+// The parameterized suites below run under hazard pointers, the one
+// reclamation scheme; their instance names carry its `Hp` prefix so they
+// stay stable for result tracking.
 struct SkiplistCase {
-  Policy policy;
   u64 seed;
 };
 
-void PrintTo(const SkiplistCase& c, std::ostream* os) {
-  *os << (c.policy == Policy::kHazardPointer ? "Hp" : "Ebr") << "_s" << c.seed;
-}
+void PrintTo(const SkiplistCase& c, std::ostream* os) { *os << "Hp_s" << c.seed; }
 
 class LockfreeSkipListSameKey : public ::testing::TestWithParam<SkiplistCase> {};
 
@@ -45,7 +44,7 @@ class LockfreeSkipListSameKey : public ::testing::TestWithParam<SkiplistCase> {}
 // linearizability or conservation break is minimized and printed as a
 // replayable spec.
 TEST_P(LockfreeSkipListSameKey, DeleteMinRacingInsertLinearizes) {
-  const auto [policy, seed] = GetParam();
+  const u64 seed = GetParam().seed;
   verify::StressSpec spec;
   spec.algo = Algorithm::kLockfreeSkipList;
   spec.policy = sim::SchedulePolicy::kRandomPreempt;
@@ -56,7 +55,6 @@ TEST_P(LockfreeSkipListSameKey, DeleteMinRacingInsertLinearizes) {
   spec.insert_percent = 50;
   spec.access_jitter = 64;
   spec.check_lin = true;
-  spec.reclaim = policy;
   if (auto f = verify::run_scenario(spec))
     FAIL() << verify::format_failure(verify::minimize(*f));
 }
@@ -64,7 +62,7 @@ TEST_P(LockfreeSkipListSameKey, DeleteMinRacingInsertLinearizes) {
 // Two keys, restructure-heavy (the sim bound is 4): the claimed-prefix
 // boundary and tower unlinking run constantly while same-key pairs race.
 TEST_P(LockfreeSkipListSameKey, TwoKeyRestructureChurnConserves) {
-  const auto [policy, seed] = GetParam();
+  const u64 seed = GetParam().seed;
   verify::StressSpec spec;
   spec.algo = Algorithm::kLockfreeSkipList;
   spec.policy = sim::SchedulePolicy::kDelayLeader;
@@ -74,18 +72,12 @@ TEST_P(LockfreeSkipListSameKey, TwoKeyRestructureChurnConserves) {
   spec.npriorities = 2;
   spec.insert_percent = 55;
   spec.access_jitter = 64;
-  spec.reclaim = policy;
   if (auto f = verify::run_scenario(spec))
     FAIL() << verify::format_failure(verify::minimize(*f));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LockfreeSkipListSameKey,
-                         ::testing::Values(SkiplistCase{Policy::kHazardPointer, 1},
-                                           SkiplistCase{Policy::kHazardPointer, 2},
-                                           SkiplistCase{Policy::kHazardPointer, 3},
-                                           SkiplistCase{Policy::kEpoch, 1},
-                                           SkiplistCase{Policy::kEpoch, 2},
-                                           SkiplistCase{Policy::kEpoch, 3}),
+                         ::testing::Values(SkiplistCase{1}, SkiplistCase{2}, SkiplistCase{3}),
                          ::testing::PrintToStringParamName());
 
 // Reclamation accounting: a mixed load past the restructure bound must
@@ -95,12 +87,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, LockfreeSkipListSameKey,
 class LockfreeSkipListReclaim : public ::testing::TestWithParam<SkiplistCase> {};
 
 TEST_P(LockfreeSkipListReclaim, RetiresAndReclaimsUnderMixedLoad) {
-  const auto [policy, seed] = GetParam();
+  const u64 seed = GetParam().seed;
   constexpr u32 kProcs = 8;
   constexpr u32 kPrios = 8;
   PqParams params{.npriorities = kPrios, .maxprocs = kProcs};
   params.seed = seed;
-  params.reclaim_policy = policy;
   LockfreeSkipListPq<SimPlatform> pq(params);
   u64 inserted = 0, removed = 0;
   sim::Engine eng(kProcs, {}, seed);
@@ -127,8 +118,7 @@ TEST_P(LockfreeSkipListReclaim, RetiresAndReclaimsUnderMixedLoad) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LockfreeSkipListReclaim,
-                         ::testing::Values(SkiplistCase{Policy::kHazardPointer, 9},
-                                           SkiplistCase{Policy::kEpoch, 9}),
+                         ::testing::Values(SkiplistCase{9}),
                          ::testing::PrintToStringParamName());
 
 // Stalled operations under hazard pointers: p0 runs inserts and
@@ -247,7 +237,6 @@ TEST_P(LockfreeSkipListMemory, EveryNodeIsFreedWithItsSize) {
     constexpr u32 kProcs = 3;
     constexpr u32 kPrios = 8;
     PqParams params{.npriorities = kPrios, .maxprocs = kProcs};
-    params.reclaim_policy = GetParam();
     LockfreeSkipListPq<SimPlatform> pq(params);
     sim::Engine eng(kProcs, {}, /*seed=*/5);
     eng.run([&](ProcId id) {
@@ -268,10 +257,8 @@ TEST_P(LockfreeSkipListMemory, EveryNodeIsFreedWithItsSize) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Both, LockfreeSkipListMemory,
-                         ::testing::Values(Policy::kHazardPointer, Policy::kEpoch),
-                         [](const ::testing::TestParamInfo<Policy>& info) {
-                           return info.param == Policy::kHazardPointer ? "Hp" : "Ebr";
-                         });
+                         ::testing::Values(Policy::kHazardPointer),
+                         [](const ::testing::TestParamInfo<Policy>&) { return "Hp"; });
 
 // Node size: one processor with a fixed seed draws the same 1,000 tower
 // heights every run, so the bytes its inserts allocate are exact. Each
@@ -294,28 +281,22 @@ TEST(LockfreeSkipListMemory, NodeBytesFollowTowerHeight) {
 
 // Fence budget: one simulated processor runs a fixed insert/delete-min
 // sequence (a prefill, a hold phase that restructures every few deletes,
-// a drain) and the engine's access total is pinned per policy. With one
+// a drain) and the engine's access total is pinned. With one
 // processor nothing is scheduled, tower heights come from the engine's
 // seeded RNG and no access depends on a node's address, so the totals
 // repeat exactly: any extra hazard publish, validate or walk shows up
-// here as a diff. Under epochs protect() is a plain acquire load and
-// protect_value() a no-op, so only the HP total carries the hazard cost.
+// here as a diff.
 struct FenceBudgetCase {
-  Policy policy;
   u64 accesses;
 };
 
-void PrintTo(const FenceBudgetCase& c, std::ostream* os) {
-  *os << (c.policy == Policy::kHazardPointer ? "Hp" : "Ebr");
-}
+void PrintTo(const FenceBudgetCase&, std::ostream* os) { *os << "Hp"; }
 
 class LockfreeSkipListFenceBudget : public ::testing::TestWithParam<FenceBudgetCase> {};
 
 TEST_P(LockfreeSkipListFenceBudget, OneProcessorAccessTotalIsPinned) {
-  const auto [policy, accesses] = GetParam();
   constexpr u32 kPrios = 32;
   PqParams params{.npriorities = kPrios, .maxprocs = 1};
-  params.reclaim_policy = policy;
   LockfreeSkipListPq<SimPlatform> pq(params);
   sim::Engine eng(1, {}, /*seed=*/1);
   u64 removed = 0;
@@ -329,12 +310,11 @@ TEST_P(LockfreeSkipListFenceBudget, OneProcessorAccessTotalIsPinned) {
   });
   EXPECT_EQ(removed, 160u);
   EXPECT_GT(pq.reclaim_stats().retired, 64u) << "the sequence must restructure";
-  EXPECT_EQ(eng.proc_stats()[0].accesses, accesses);
+  EXPECT_EQ(eng.proc_stats()[0].accesses, GetParam().accesses);
 }
 
 INSTANTIATE_TEST_SUITE_P(Pinned, LockfreeSkipListFenceBudget,
-                         ::testing::Values(FenceBudgetCase{Policy::kHazardPointer, 13877},
-                                           FenceBudgetCase{Policy::kEpoch, 7675}),
+                         ::testing::Values(FenceBudgetCase{13877}),
                          ::testing::PrintToStringParamName());
 
 } // namespace

@@ -5,9 +5,8 @@
 // a canary mismatch at the reader — not as silent memory reuse — and a
 // double free trips the scribble check inside the deleter itself. A
 // counting allocator balance (allocated == reclaimed, limbo empty) closes
-// the leak side. Both policies run the same scenarios; the HP-specific
-// protected-node and EBR-specific pinned-reader tests pin down the one
-// guarantee each policy makes that the other states differently.
+// the leak side. ReclaimHazard pins down the hazard-pointer guarantee
+// itself: a published hazard defers the free across any number of scans.
 //
 // The final suite is the race-detector negative control (ISSUE satellite):
 // an under-annotated hazard handshake — relaxed publish/scan instead of the
@@ -19,6 +18,7 @@
 #include <vector>
 
 #include "platform/sim.hpp"
+#include "reclaim/policy.hpp"
 #include "reclaim/reclaim.hpp"
 #include "sim/race_detector.hpp"
 
@@ -69,14 +69,12 @@ void scribble_free(void* p) {
   delete n;
 }
 
-DomainOptions options_for(Policy p, u32 scan_threshold = 4) {
-  DomainOptions o;
-  o.policy = p;
-  o.slots_per_proc = 4;
-  o.scan_threshold = scan_threshold;
-  return o;
+DomainOptions options_for(u32 scan_threshold = 4) {
+  return {.slots_per_proc = 4, .scan_threshold = scan_threshold};
 }
 
+// Parameterized with one value, hazard pointers, so the instance names
+// (`/Hp`) stay stable for result tracking.
 class ReclaimPolicy : public ::testing::TestWithParam<Policy> {
  protected:
   void SetUp() override { g_counting = &counting_; }
@@ -89,7 +87,7 @@ class ReclaimPolicy : public ::testing::TestWithParam<Policy> {
 TEST_P(ReclaimPolicy, RetireFlushFreesEverythingOnce) {
   constexpr u32 kNodes = 37; // not a multiple of the scan threshold
   sim::Engine eng(2, {}, 11);
-  Domain<SimPlatform> dom(2, options_for(GetParam()));
+  Domain<SimPlatform> dom(2, options_for());
   eng.run([&](ProcId id) {
     for (u32 i = 0; i < kNodes; ++i) {
       Guard<SimPlatform> g(dom);
@@ -115,7 +113,7 @@ TEST_P(ReclaimPolicy, SwapAndChaseTortureKeepsCanariesLive) {
   constexpr u32 kCells = 4;
   constexpr u32 kOps = 120;
   sim::Engine eng(kProcs, {}, 23);
-  Domain<SimPlatform> dom(kProcs, options_for(GetParam()));
+  Domain<SimPlatform> dom(kProcs, options_for());
   std::vector<Padded<SimShared<u64>>> cells(kCells);
   eng.run([&](ProcId id) {
     if (id != 0) return;
@@ -159,12 +157,8 @@ TEST_P(ReclaimPolicy, SwapAndChaseTortureKeepsCanariesLive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, ReclaimPolicy,
-                         ::testing::Values(Policy::kHazardPointer, Policy::kEpoch),
-                         [](const ::testing::TestParamInfo<Policy>& i) {
-                           return std::string(reclaim::to_string(i.param)) == "hp"
-                                      ? "Hp"
-                                      : "Ebr";
-                         });
+                         ::testing::Values(Policy::kHazardPointer),
+                         [](const ::testing::TestParamInfo<Policy>&) { return "Hp"; });
 
 // ---- HP-specific: a published hazard defers the free across any number
 // of scans, and releasing it makes the very next flush reclaim.
@@ -173,7 +167,7 @@ TEST(ReclaimHazard, ProtectedNodeSurvivesScansUntilCleared) {
   Counting counting;
   g_counting = &counting;
   sim::Engine eng(2, {}, 31);
-  Domain<SimPlatform> dom(2, options_for(Policy::kHazardPointer, /*scan=*/1));
+  Domain<SimPlatform> dom(2, options_for(/*scan_threshold=*/1));
   Padded<SimShared<u64>> cell;
   Padded<SimShared<u32>> protected_flag;
   CanaryNode* victim = nullptr;
@@ -207,48 +201,6 @@ TEST(ReclaimHazard, ProtectedNodeSurvivesScansUntilCleared) {
   });
   EXPECT_EQ(victim->canary, kCanaryLive) << "reclaimed before quiescence";
   dom.flush(); // guards are gone: the hazard is clear, the free lands now
-  EXPECT_EQ(dom.stats().in_limbo, 0u);
-  EXPECT_EQ(counting.allocated, counting.freed);
-  EXPECT_EQ(counting.double_frees, 0u);
-  g_counting = nullptr;
-}
-
-// ---- EBR-specific: a pinned reader blocks the epoch from advancing far
-// enough to free anything retired during its critical section.
-
-TEST(ReclaimEpoch, PinnedReaderBlocksReclamation) {
-  Counting counting;
-  g_counting = &counting;
-  sim::Engine eng(2, {}, 41);
-  Domain<SimPlatform> dom(2, options_for(Policy::kEpoch, /*scan=*/1));
-  Padded<SimShared<u64>> cell;
-  Padded<SimShared<u32>> pinned_flag;
-  eng.run([&](ProcId id) {
-    if (id != 0) return;
-    cell.value.store(reinterpret_cast<u64>(make_node(9)));
-  });
-  eng.run([&](ProcId id) {
-    if (id == 0) {
-      Guard<SimPlatform> g(dom); // pin
-      auto* n = reinterpret_cast<CanaryNode*>(cell.value.load());
-      ASSERT_NE(n, nullptr); // the writer waits on the flag, so no race here
-      pinned_flag.value.store(1);
-      for (u32 i = 0; i < 32; ++i) {
-        SimPlatform::delay(64);
-        EXPECT_EQ(n->canary, kCanaryLive) << "freed under a pinned reader";
-      }
-    } else {
-      SimPlatform::spin_until(pinned_flag.value, [](u32 v) { return v == 1; });
-      auto* old = reinterpret_cast<CanaryNode*>(cell.value.exchange(0));
-      Guard<SimPlatform> g(dom);
-      g.retire(old, scribble_free);
-      for (u32 i = 0; i < 8; ++i) {
-        g.retire(make_node(200 + i), scribble_free); // drives try_advance
-        SimPlatform::delay(32);
-      }
-    }
-  });
-  dom.flush(); // unpinned: epochs advance freely, limbo drains
   EXPECT_EQ(dom.stats().in_limbo, 0u);
   EXPECT_EQ(counting.allocated, counting.freed);
   EXPECT_EQ(counting.double_frees, 0u);
@@ -302,7 +254,7 @@ TEST(ReclaimRaceDetection, SeqCstHazardHandshakeIsClean) {
   Counting counting;
   g_counting = &counting;
   sim::Engine eng(4, race_params(), 59);
-  Domain<SimPlatform> dom(4, options_for(Policy::kHazardPointer, /*scan=*/2));
+  Domain<SimPlatform> dom(4, options_for(/*scan_threshold=*/2));
   std::vector<Padded<SimShared<u64>>> cells(2);
   eng.run([&](ProcId id) {
     if (id != 0) return;

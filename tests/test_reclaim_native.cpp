@@ -13,13 +13,13 @@
 #include "common/padded.hpp"
 #include "platform/native.hpp"
 #include "pq/lockfree_skiplist_pq.hpp"
+#include "reclaim/policy.hpp"
 #include "reclaim/reclaim.hpp"
 
 namespace fpq {
 namespace {
 
 using reclaim::Domain;
-using reclaim::DomainOptions;
 using reclaim::Guard;
 using reclaim::Policy;
 
@@ -49,14 +49,8 @@ void scribble_free(void* p) {
   delete n;
 }
 
-DomainOptions options_for(Policy p) {
-  DomainOptions o;
-  o.policy = p;
-  o.slots_per_proc = 2;
-  o.scan_threshold = 8;
-  return o;
-}
-
+// Parameterized with one value, hazard pointers, so the instance names
+// (`/Hp`) stay stable for result tracking.
 class NativeReclaim : public ::testing::TestWithParam<Policy> {
  protected:
   void SetUp() override {
@@ -69,7 +63,7 @@ TEST_P(NativeReclaim, SwapAndChaseTorture) {
   constexpr u32 kThreads = 4;
   constexpr u32 kCells = 4;
   constexpr u32 kOps = 4000;
-  Domain<NativePlatform> dom(kThreads, options_for(GetParam()));
+  Domain<NativePlatform> dom(kThreads, {.slots_per_proc = 2, .scan_threshold = 8});
   std::vector<Padded<NativeShared<u64>>> cells(kCells);
   for (u32 c = 0; c < kCells; ++c)
     cells[c].value.store(reinterpret_cast<u64>(make_node(c)));
@@ -103,12 +97,8 @@ TEST_P(NativeReclaim, SwapAndChaseTorture) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, NativeReclaim,
-                         ::testing::Values(Policy::kHazardPointer, Policy::kEpoch),
-                         [](const ::testing::TestParamInfo<Policy>& i) {
-                           return std::string(reclaim::to_string(i.param)) == "hp"
-                                      ? "Hp"
-                                      : "Ebr";
-                         });
+                         ::testing::Values(Policy::kHazardPointer),
+                         [](const ::testing::TestParamInfo<Policy>&) { return "Hp"; });
 
 // End-to-end: the lock-free skiplist reclaiming for real under threads.
 // Conservation doubles as the use-after-free probe — a node freed while a
@@ -119,7 +109,6 @@ TEST_P(NativeSkiplistReclaim, MixedLoadReclaimsAndConserves) {
   constexpr u32 kThreads = 4;
   constexpr u32 kPrios = 16;
   PqParams params{.npriorities = kPrios, .maxprocs = kThreads};
-  params.reclaim_policy = GetParam();
   LockfreeSkipListPq<NativePlatform> pq(params);
   std::vector<std::vector<Entry>> ins(kThreads), del(kThreads);
   NativePlatform::run(kThreads, [&](ProcId id) {
@@ -157,12 +146,8 @@ TEST_P(NativeSkiplistReclaim, MixedLoadReclaimsAndConserves) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, NativeSkiplistReclaim,
-                         ::testing::Values(Policy::kHazardPointer, Policy::kEpoch),
-                         [](const ::testing::TestParamInfo<Policy>& i) {
-                           return std::string(reclaim::to_string(i.param)) == "hp"
-                                      ? "Hp"
-                                      : "Ebr";
-                         });
+                         ::testing::Values(Policy::kHazardPointer),
+                         [](const ::testing::TestParamInfo<Policy>&) { return "Hp"; });
 
 } // namespace
 } // namespace fpq

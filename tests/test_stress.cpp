@@ -38,7 +38,6 @@ TEST(StressSpec, LineRoundTripsEveryField) {
   s.max_delay = 999;
   s.access_jitter = 17;
   s.batch = 6;
-  s.reclaim = reclaim::Policy::kEpoch;
   s.funnel = FunnelProtocol::kAggregate;
   s.shards = 5;
   s.sample_c = 2;
@@ -62,7 +61,6 @@ TEST(StressSpec, LineRoundTripsEveryField) {
   EXPECT_EQ(r.max_delay, s.max_delay);
   EXPECT_EQ(r.access_jitter, s.access_jitter);
   EXPECT_EQ(r.batch, s.batch);
-  EXPECT_EQ(r.reclaim, s.reclaim);
   EXPECT_EQ(r.funnel, s.funnel);
   EXPECT_EQ(r.shards, s.shards);
   EXPECT_EQ(r.sample_c, s.sample_c);
@@ -81,7 +79,7 @@ TEST(StressSpec, LineRoundTripsEveryField) {
 TEST(StressSpec, ReplayLinesMatchGoldenText) {
   const std::string default_line =
       "algo=SingleLock policy=smallest-clock seed=1 procs=4 ops=12 nprio=8 ins=60 "
-      "permille=250 maxdelay=256 jitter=0 batch=1 reclaim=hp funnel=exchange lin=0 race=0";
+      "permille=250 maxdelay=256 jitter=0 batch=1 funnel=exchange lin=0 race=0";
   EXPECT_EQ(to_line(StressSpec{}), default_line);
 
   StressSpec x;
@@ -96,7 +94,6 @@ TEST(StressSpec, ReplayLinesMatchGoldenText) {
   x.max_delay = 64;
   x.access_jitter = 8;
   x.batch = 2;
-  x.reclaim = reclaim::Policy::kEpoch;
   x.funnel = FunnelProtocol::kAggregate;
   x.shards = 4;
   x.sample_c = 2;
@@ -108,7 +105,7 @@ TEST(StressSpec, ReplayLinesMatchGoldenText) {
   x.trace = 9;
   const std::string exhaustive_line =
       "algo=Sharded policy=exhaustive seed=42 procs=3 ops=2 nprio=4 ins=75 permille=100 "
-      "maxdelay=64 jitter=8 batch=2 reclaim=ebr funnel=aggregate shards=4 c=2 mode=direct "
+      "maxdelay=64 jitter=8 batch=2 funnel=aggregate shards=4 c=2 mode=direct "
       "lin=1 race=1 preempt_bound=2 max_execs=5000 trace=9";
   EXPECT_EQ(to_line(x), exhaustive_line);
 
@@ -121,7 +118,7 @@ TEST(StressSpec, ReplayLinesMatchGoldenText) {
   f.watchdog = 30000;
   const std::string fault_line =
       "algo=FunnelTree policy=random-preempt seed=3 procs=4 ops=12 nprio=8 ins=60 "
-      "permille=250 maxdelay=256 jitter=64 batch=1 reclaim=hp funnel=exchange lin=0 race=0 "
+      "permille=250 maxdelay=256 jitter=64 batch=1 funnel=exchange lin=0 race=0 "
       "faults=crash@p1a300 watchdog=30000";
   EXPECT_EQ(to_line(f), fault_line);
 
@@ -134,7 +131,7 @@ TEST(StressSpec, ReplayLinesMatchGoldenText) {
   d.access_jitter = 64;
   const std::string doc_line =
       "algo=FunnelTree policy=delay-leader seed=17 procs=4 ops=12 nprio=8 ins=60 "
-      "permille=250 maxdelay=256 jitter=64 batch=1 reclaim=hp funnel=exchange lin=0 race=0";
+      "permille=250 maxdelay=256 jitter=64 batch=1 funnel=exchange lin=0 race=0";
   EXPECT_EQ(to_line(d), doc_line);
 
   for (const std::string& line : {default_line, exhaustive_line, fault_line, doc_line})
@@ -152,9 +149,14 @@ TEST(StressSpec, RejectsMalformedLines) {
   EXPECT_THROW(spec_from_line("ins=101"), std::invalid_argument);
   EXPECT_THROW(spec_from_line("ops=0"), std::invalid_argument);
   EXPECT_THROW(spec_from_line("funnel=pairwise"), std::invalid_argument);
-  // A retired key: its scenario no longer exists, so it must not replay as
-  // a different one.
+  // Numbers are whole decimals: no trailing text, no sign, nothing that
+  // wraps around.
+  EXPECT_THROW(spec_from_line("procs=3junk"), std::invalid_argument);
+  EXPECT_THROW(spec_from_line("nprio=-1"), std::invalid_argument);
+  // Retired keys: their scenarios no longer exist, so they must not replay
+  // as different ones.
   EXPECT_THROW(spec_from_line("elim=2"), std::invalid_argument);
+  EXPECT_THROW(spec_from_line("reclaim=ebr"), std::invalid_argument);
 }
 
 TEST(StressSpec, PolicyNamesParse) {
