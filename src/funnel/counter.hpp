@@ -1,7 +1,9 @@
 // Combining-funnel shared counter, including the paper's novel *bounded*
 // fetch-and-decrement (Fig. 10 and Appendix A). The collision machinery is
 // FunnelCore (funnel/core.hpp); this file is its central object, one word
-// updated by CAS, clamped at `floor` (and optionally `ceiling`).
+// updated by CAS, clamped at `floor` (and optionally `ceiling`). Under low
+// load the adaptive fast path skips the layers: it reads the word once and
+// makes up to three CASes, each from the value the lost one handed back.
 //
 // Configurations:
 //   plain   (bounded=false) — classic combining-funnel fetch-and-add;
@@ -38,7 +40,6 @@
 #include "funnel/core.hpp"
 #include "funnel/params.hpp"
 #include "platform/platform.hpp"
-#include "sync/backoff.hpp"
 #include "sync/try_budget.hpp"
 
 namespace fpq {
@@ -150,7 +151,7 @@ class FunnelCounter
 
   /// Bounded-wait fetch-and-increment: never enters the funnel (no capture,
   /// so no dependence on any partner's liveness) — it CASes the central
-  /// value directly under the budget, exactly like the adaptive fast path.
+  /// value directly under the budget, as the adaptive fast path does.
   /// nullopt = budget exhausted, counter untouched.
   std::optional<i64> try_fai(TryClock<P>& clock) {
     FPQ_ASSERT_MSG(cfg_.ceiling == kNoCeiling, "use a ceiling-matched try on bfai counters");
@@ -176,6 +177,7 @@ class FunnelCounter
   }
 
   const Config& config() const { return cfg_; }
+  const FunnelParams& params() const { return this->params_; }
 
   /// Total joiner slices folded by aggregate representatives (quiescent
   /// use; 0 unless the protocol is kAggregate). Lets tests assert that an
@@ -201,13 +203,15 @@ class FunnelCounter
 
   // ---- Central-object hooks (contract in funnel/core.hpp).
 
-  /// Adaptive fast path: up to three direct CASes; a third lost race is
-  /// the contention signal that re-opens the funnel.
+  /// Adaptive fast path: one read of the central value, then up to three
+  /// direct CASes, each retrying at once from the value the lost CAS
+  /// handed back (no re-read, no backoff: every try is one trip to the hot
+  /// word). A third lost race is the contention signal that re-opens the
+  /// funnel.
   std::optional<Done> fast_path(Rec& my) {
-    Backoff<P> fast_backoff(8, 64);
+    i64 val = central_.load_relaxed();
     for (u32 tries = 0; tries < 3; ++tries) {
-      if (auto r = central_attempt(my)) return r;
-      fast_backoff.spin();
+      if (auto r = cas_from(my, val)) return r;
     }
     my.adaption = std::min(1.0, my.adaption * 2.0); // contention after all
     return std::nullopt;
@@ -253,6 +257,13 @@ class FunnelCounter
   /// verdicts from the pre-value it replaced.
   std::optional<Done> central_attempt(Rec& my) {
     i64 val = central_.load_relaxed();
+    return cas_from(my, val);
+  }
+
+  /// The central step: CAS the tree's sum, clamped, onto `val`, and hand
+  /// out positional verdicts on success. On failure `val` holds the value
+  /// the lost CAS saw, which a caller may retry from.
+  std::optional<Done> cas_from(Rec& my, i64& val) {
     if (!central_.compare_exchange(val, after_slice(val, my.local_sum), MemOrder::kAcqRel,
                                    MemOrder::kRelaxed))
       return std::nullopt;

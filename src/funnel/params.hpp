@@ -1,9 +1,14 @@
 // Tuning parameters of a combining funnel (Shavit & Zemach '98; paper
 // §3.1). The paper selected one parameter set by a preliminary sweep at 256
 // processors and used it for all funnels; for_procs() plays that role here
-// and bench/ablation_funnel_cutoff re-derives the sensitivity.
+// for a funnel every processor reaches (LinearFunnels' bins, FunnelTree's
+// root), and bench/ablation_funnel_cutoff re-derives the sensitivity.
+// FunnelTree's deeper funnels see a smaller share of the arrivals (about
+// half per level, counted per funnel in EXPERIMENTS.md), so they take the
+// same set narrowed by for_depth().
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <string>
 
@@ -89,6 +94,16 @@ struct FunnelParams {
     FPQ_ASSERT_MSG(attempts >= 1, "attempts must be positive");
     FPQ_ASSERT_MSG(adapt_min > 0.0 && adapt_min <= 1.0, "adapt_min out of (0,1]");
     FPQ_ASSERT_MSG(batch_limit >= 1, "batch_limit must be positive");
+  }
+
+  /// The same geometry for a funnel that sees about 1/2^d of the
+  /// arrivals of a funnel with this geometry: every layer's width shifted
+  /// right by `d` (floor 1). Levels, spins, attempts, protocol, agg_wait
+  /// and batch_limit are unchanged.
+  FunnelParams for_depth(u32 d) const {
+    FunnelParams p = *this;
+    for (u32& w : p.width) w = d >= 32 ? 1 : std::max(w >> d, 1u);
+    return p;
   }
 
   /// The parameter set used throughout the reproduction, scaled to the

@@ -237,6 +237,7 @@ class FunnelStack : private FunnelCore<P, FunnelStack<P>, funnel_detail::StackPa
   /// carry; also bounds a combining tree's total batch.
   u32 max_batch() const { return batch_for(this->params_); }
   BinOrder order() const { return order_; }
+  const FunnelParams& params() const { return this->params_; }
 
  private:
   using typename Core::Rec;
@@ -315,7 +316,7 @@ class FunnelStack : private FunnelCore<P, FunnelStack<P>, funnel_detail::StackPa
   /// and items are readable relaxed.
   bool combine(Rec& my, Rec& q, i64 qsum) {
     if (!Core::same_sign(qsum, my.local_sum)) return false;
-    const u64 qrem = Core::tree_size(q.sum.load_relaxed());
+    const u64 qrem = Core::tree_size(qsum);
     if (my.own_n + my.child_extra + qrem > max_batch()) return false;
     if (my.local_sum > 0) {
       // Push tree: pull q's remaining items (one contiguous range starting
@@ -325,7 +326,7 @@ class FunnelStack : private FunnelCore<P, FunnelStack<P>, funnel_detail::StackPa
         my.buf[my.own_n + my.child_extra + i].store_relaxed(q.buf[qmark + i].load_relaxed());
     }
     my.child_extra += qrem;
-    my.local_sum += q.sum.load_relaxed();
+    my.local_sum += qsum;
     return true;
   }
 

@@ -11,6 +11,15 @@
 //     reproduces that comparison);
 //   * leaf bins are combining-funnel stacks.
 //
+// Deeper funnels see fewer arrivals, so their layers are the root
+// geometry narrowed by FunnelParams::for_depth: the counter at node n by
+// depth floor_log2(n), every bin by log2(nleaves). Counted per funnel on
+// the paper's 256-processor workload, a depth-d counter sees 1/2^d of the
+// root's arrivals and a bin 1/12 at 16 priorities; when the queue holds a
+// standing set, deletes crowd the leftmost path and its counters see about
+// 1.5x their share (EXPERIMENTS.md). An explicit FunnelOptions::params is
+// the root's geometry.
+//
 // Quiescently consistent: delete_min may return nullopt when overlapping
 // inserts have not finished publishing counts (see simple_tree_pq.hpp).
 //
@@ -54,15 +63,16 @@ class FunnelTreePq {
     mcs_counters_.resize(nleaves_);
     for (u32 n = 1; n < nleaves_; ++n) {
       if (floor_log2(n) < opts.tree_cutoff)
-        funnel_counters_[n] =
-            std::make_unique<FunnelCounter<P>>(params.maxprocs, fp, ctr_cfg, 0);
+        funnel_counters_[n] = std::make_unique<FunnelCounter<P>>(
+            params.maxprocs, fp.for_depth(floor_log2(n)), ctr_cfg, 0);
       else
         mcs_counters_[n] = std::make_unique<McsCounter<P>>(params.maxprocs, 0);
     }
+    const FunnelParams bin_fp = fp.for_depth(floor_log2(nleaves_));
     stacks_.reserve(npriorities_);
     for (u32 i = 0; i < npriorities_; ++i)
       stacks_.push_back(std::make_unique<FunnelStack<P>>(
-          params.maxprocs, fp, params.bin_capacity, opts.eliminate, opts.bin_order));
+          params.maxprocs, bin_fp, params.bin_capacity, opts.eliminate, opts.bin_order));
   }
 
   bool insert(Prio prio, Item item) {
@@ -189,6 +199,14 @@ class FunnelTreePq {
   i64 counter_value(u32 n) const {
     return funnel_counters_[n] ? funnel_counters_[n]->read() : mcs_counters_[n]->read();
   }
+
+  /// Test hooks: the funnel geometry of the counter at heap node `n` (a
+  /// node above the tree cut-off) and of the bin for priority `prio`.
+  const FunnelParams& counter_params(u32 n) const {
+    FPQ_ASSERT_MSG(funnel_counters_[n], "node below the funnel cut-off");
+    return funnel_counters_[n]->params();
+  }
+  const FunnelParams& bin_params(Prio prio) const { return stacks_[prio]->params(); }
 
  private:
   void fai(u32 n) {

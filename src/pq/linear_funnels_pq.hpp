@@ -24,7 +24,9 @@ namespace fpq {
 /// Knobs shared by the funnel-based queues.
 struct FunnelOptions {
   /// Funnel layer geometry; defaults to FunnelParams::for_procs(maxprocs),
-  /// mirroring the paper's single pre-tuned set used for every funnel.
+  /// the paper's single pre-tuned set. LinearFunnels uses it for every
+  /// bin; for FunnelTree it is the root's geometry, and deeper funnels get
+  /// it narrowed by FunnelParams::for_depth.
   std::optional<FunnelParams> params;
   /// Elimination toggle (ablation of §3.3's "up to 250%" claim).
   bool eliminate = true;

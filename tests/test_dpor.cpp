@@ -61,7 +61,7 @@ TEST(DporLitmus, FunnelCounterAggregateCompletesClean) {
 }
 
 TEST(DporLitmus, FunnelStackCompletesClean) {
-  expect_explored(explore_funnel_stack(2), 14528, 1766500);
+  expect_explored(explore_funnel_stack(2), 14528, 1757594);
 }
 
 // Bounded mode (fai against bfad): the only rows that model-check the

@@ -1,7 +1,8 @@
 // Tests of the combining-funnel counter — the paper's core primitive
 // (Fig. 10). Property-style sweeps over processor counts, op mixes, funnel
 // geometries and elimination settings; every configuration must satisfy
-// the bounded-counter invariants.
+// the bounded-counter invariants. The adaptive fast path's access cost is
+// pinned at the end.
 #include <gtest/gtest.h>
 #include <array>
 
@@ -12,6 +13,7 @@
 
 #include "funnel/counter.hpp"
 #include "platform/sim.hpp"
+#include "sim/faults.hpp"
 
 namespace fpq {
 namespace {
@@ -416,6 +418,82 @@ TEST(FunnelCounter, FaaOnBoundedAborts) {
   FunnelCounter<SimPlatform> c(1, tight_params(1), Cfg{true, true, 0}, 0);
   sim::Engine eng(1);
   EXPECT_DEATH(eng.run([&](ProcId) { c.faa(2); }), "bounded");
+}
+
+// Cost of the adaptive fast path: one read of the central word, then up
+// to three CASes, each retrying from the value the lost one handed back.
+// One simulated processor runs a fixed fai / fai_batch / bfad / bfad_batch
+// sequence while a fault plan fails chosen CASes spuriously: two in a row
+// at the second round's fai (the third try wins with no further read),
+// three in a row at the 26th round's fai (the fast path gives up and the
+// op goes through the funnel). Nothing is scheduled, so the engine's read, write and RMW
+// totals and the final clock repeat exactly per protocol; a read or a
+// backoff between the retries shows up as a diff.
+struct FastPathCase {
+  FunnelProtocol protocol;
+  u64 reads, writes, rmws;
+  Cycles clock;
+};
+
+void PrintTo(const FastPathCase& c, std::ostream* os) {
+  *os << (c.protocol == FunnelProtocol::kExchange ? "Exchange" : "Aggregate");
+}
+
+class FunnelCounterFastPath : public ::testing::TestWithParam<FastPathCase> {};
+
+TEST_P(FunnelCounterFastPath, OneProcessorAccessTotalIsPinned) {
+  const FastPathCase& c = GetParam();
+  FunnelParams p = tight_params(1);
+  p.batch_limit = 4;
+  p.protocol = c.protocol;
+  FunnelCounter<SimPlatform> ctr(1, p, Cfg{true, true, 0}, 0);
+  sim::Engine eng(1, {}, /*seed=*/1);
+  // An uncontended op is a read and a CAS (ordinals 2i, 2i+1 for op i),
+  // so op 4's CAS is ordinal 9; the two lost tries move every later op up
+  // by 2, which puts op 100's CAS at ordinal 203.
+  sim::FaultPlan plan;
+  plan.events.push_back({sim::FaultKind::kCasFail, 0, 9, 2});
+  plan.events.push_back({sim::FaultKind::kCasFail, 0, 203, 3});
+  eng.set_fault_plan(std::move(plan));
+  eng.run([&](ProcId) {
+    for (i64 r = 0; r < 50; ++r) {
+      EXPECT_EQ(ctr.fai(), r);
+      EXPECT_EQ(ctr.fai_batch(3), 3u);
+      EXPECT_EQ(ctr.bfad(0), r + 4);
+      EXPECT_EQ(ctr.bfad_batch(0, 2), 2u);
+    }
+  });
+  EXPECT_EQ(ctr.read(), 50);
+  const sim::MemStats& m = eng.mem_stats();
+  EXPECT_EQ(m.reads, c.reads);
+  EXPECT_EQ(m.writes, c.writes);
+  EXPECT_EQ(m.rmws, c.rmws);
+  EXPECT_EQ(eng.proc_stats()[0].clock, c.clock);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, FunnelCounterFastPath,
+    ::testing::Values(FastPathCase{FunnelProtocol::kExchange, 273, 9, 217, 1286},
+                      FastPathCase{FunnelProtocol::kAggregate, 213, 9, 214, 1148}),
+    ::testing::PrintToStringParamName());
+
+// A real lost race: p0 reads the central word and is stalled before its
+// CAS while p1 increments. p0's CAS then fails and hands back p1's value,
+// and the retry from it wins: three accesses in all, where re-reading the
+// word before the retry would make four.
+TEST(FunnelCounterFastPath, LostCasRetriesFromTheReturnedValue) {
+  FunnelCounter<SimPlatform> ctr(2, tight_params(1), Cfg{true, true, 0}, 0);
+  sim::Engine eng(2, {}, /*seed=*/1);
+  sim::FaultPlan plan;
+  plan.events.push_back({sim::FaultKind::kStall, 0, 0, 10000});
+  eng.set_fault_plan(std::move(plan));
+  std::array<i64, 2> ticket{-1, -1};
+  eng.run([&](ProcId id) { ticket[id] = ctr.fai(); });
+  EXPECT_EQ(ticket[1], 0);
+  EXPECT_EQ(ticket[0], 1);
+  EXPECT_EQ(ctr.read(), 2);
+  EXPECT_EQ(eng.proc_stats()[0].accesses, 3u);
+  EXPECT_EQ(eng.proc_stats()[1].accesses, 2u);
 }
 
 } // namespace

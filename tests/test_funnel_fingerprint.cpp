@@ -120,23 +120,23 @@ using enum FunnelProtocol;
 // invalidations, module-wait cycles, clock sum, items delivered.
 const Cell kCells[] = {
     {"FunnelTree/exchange/point", kFunnelTree, kExchange, 1, BinOrder::kLifo,
-     {96590, 23548, 15554, 779214, 3493540, 356}},
+     {92138, 22403, 14619, 558486, 3154407, 368}},
     {"FunnelTree/exchange/batch16", kFunnelTree, kExchange, 16, BinOrder::kLifo,
-     {713918, 147956, 103863, 853667, 19025256, 5391}},
+     {700635, 140938, 97381, 740309, 18672239, 5639}},
     {"FunnelTree/aggregate/point", kFunnelTree, kAggregate, 1, BinOrder::kLifo,
-     {38662, 27774, 21218, 14823515, 20899820, 367}},
+     {38069, 27616, 21072, 14347411, 20697773, 358}},
     {"FunnelTree/aggregate/batch16", kFunnelTree, kAggregate, 16, BinOrder::kLifo,
-     {257875, 169988, 131955, 88908363, 132509750, 5313}},
+     {248291, 163552, 126066, 82787776, 125089379, 5595}},
     {"LinearFunnels/exchange/point", kLinearFunnels, kExchange, 1, BinOrder::kLifo,
-     {106618, 26741, 16379, 122446, 3983702, 369}},
+     {99079, 25656, 15556, 114832, 3832593, 374}},
     {"LinearFunnels/exchange/batch16", kLinearFunnels, kExchange, 16, BinOrder::kLifo,
-     {650109, 144572, 91098, 382968, 23905023, 5981}},
+     {635454, 141568, 87758, 344728, 25339062, 6092}},
     {"LinearFunnels/aggregate/point", kLinearFunnels, kAggregate, 1, BinOrder::kLifo,
      {40621, 25919, 14360, 377355, 5852543, 372}},
     {"LinearFunnels/aggregate/batch16", kLinearFunnels, kAggregate, 16, BinOrder::kLifo,
      {223407, 127897, 67928, 300919, 27260205, 5915}},
     {"LinearFunnels/fifo/exchange/batch16", kLinearFunnels, kExchange, 16, BinOrder::kFifo,
-     {653235, 147874, 83008, 393949, 23413004, 5863}},
+     {641658, 143544, 80555, 377037, 23459782, 5872}},
     {"LinearFunnels/fifo/aggregate/batch16", kLinearFunnels, kAggregate, 16, BinOrder::kFifo,
      {223004, 126955, 59059, 288817, 29480257, 5814}},
 };

@@ -12,6 +12,7 @@
 #include "funnel/counter.hpp"
 #include "funnel/stack.hpp"
 #include "platform/sim.hpp"
+#include "pq/funnel_tree_pq.hpp"
 
 namespace fpq {
 namespace {
@@ -132,6 +133,48 @@ TEST_P(StackGrid, Conservation) {
 
 INSTANTIATE_TEST_SUITE_P(Grid, StackGrid, ::testing::ValuesIn(grid()),
                          ::testing::PrintToStringParamName());
+
+// The per-depth geometry rule: a funnel d levels below the root gets the
+// root's layer widths shifted right by d, floored at one slot; nothing else
+// about the geometry changes.
+TEST(FunnelParamsForDepth, WidthsHalvePerDepthAndFloorAtOne) {
+  const FunnelParams root = FunnelParams::for_procs(256);
+  const FunnelParams d2 = root.for_depth(2);
+  EXPECT_EQ(d2.width, (std::array<u32, kMaxFunnelLevels>{16, 8, 4, 2, 1, 1}));
+  EXPECT_EQ(root.for_depth(0).width, root.width);
+  EXPECT_EQ(root.for_depth(9).width, (std::array<u32, kMaxFunnelLevels>{1, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(root.for_depth(40).width, (std::array<u32, kMaxFunnelLevels>{1, 1, 1, 1, 1, 1}));
+
+  FunnelParams other = FunnelParams::for_procs(256, FunnelProtocol::kAggregate);
+  other.batch_limit = 16;
+  other.adaptive = false;
+  other.adapt_min = 0.5;
+  for (const FunnelParams& p : {root, other}) {
+    const FunnelParams q = p.for_depth(3);
+    EXPECT_EQ(q.levels, p.levels);
+    EXPECT_EQ(q.attempts, p.attempts);
+    EXPECT_EQ(q.spin, p.spin);
+    EXPECT_EQ(q.adaptive, p.adaptive);
+    EXPECT_EQ(q.adapt_min, p.adapt_min);
+    EXPECT_EQ(q.batch_limit, p.batch_limit);
+    EXPECT_EQ(q.protocol, p.protocol);
+    EXPECT_EQ(q.agg_wait, p.agg_wait);
+  }
+}
+
+// FunnelTree applies the rule by heap depth: at 256 processors and 16
+// priorities the root counter keeps for_procs(256)'s first width (64), a
+// depth-3 counter gets 8, and the bins, at depth log2(16) = 4, get 4.
+TEST(FunnelParamsForDepth, FunnelTreeNarrowsFunnelsByDepth) {
+  const PqParams params{.npriorities = 16, .maxprocs = 256};
+  FunnelTreePq<SimPlatform> pq(params);
+  EXPECT_EQ(pq.counter_params(1).width[0], 64u);
+  EXPECT_EQ(pq.counter_params(8).width[0], 8u);
+  EXPECT_EQ(pq.counter_params(15).width[0], 8u);
+  EXPECT_EQ(pq.bin_params(0).width[0], 4u);
+  EXPECT_EQ(pq.bin_params(15).width[0], 4u);
+  EXPECT_EQ(pq.counter_params(8).levels, pq.counter_params(1).levels);
+}
 
 } // namespace
 } // namespace fpq

@@ -234,20 +234,20 @@ INSTANTIATE_TEST_SUITE_P(AllAlgos, NativeQueues, ::testing::ValuesIn(all_algorit
 // ---- Batched entry points under real threads (the TSan gate for the
 // DESIGN.md §9 batch pipeline): conservation per element, item
 // uniqueness, and a sorted quiescent drain.
-class NativeBatchedQueues : public ::testing::TestWithParam<Algorithm> {};
-
-TEST_P(NativeBatchedQueues, ConcurrentBatchConservation) {
+void batch_conservation(Algorithm algo, u32 nprio, FunnelProtocol protocol) {
   constexpr u32 kBatch = 8;
-  PqParams params{.npriorities = 16, .maxprocs = kThreads, .bin_capacity = 1u << 13};
+  PqParams params{.npriorities = nprio, .maxprocs = kThreads, .bin_capacity = 1u << 13};
   params.max_batch = kBatch;
-  auto pq = make_priority_queue<NativePlatform>(GetParam(), params);
+  FunnelOptions opts;
+  opts.protocol = protocol;
+  auto pq = make_priority_queue<NativePlatform>(algo, params, opts);
   std::atomic<u64> inserted{0}, deleted{0};
   NativePlatform::run(kThreads, [&](ProcId id) {
     for (u32 round = 0; round < 40; ++round) {
       if (NativePlatform::flip()) {
         std::vector<Entry> in(kBatch);
         for (u32 i = 0; i < kBatch; ++i)
-          in[i] = Entry{static_cast<Prio>(NativePlatform::rnd(16)),
+          in[i] = Entry{static_cast<Prio>(NativePlatform::rnd(nprio)),
                         (static_cast<u64>(id) << 24) | (round * kBatch + i)};
         ASSERT_EQ(pq->insert_batch(in), kBatch);
         inserted.fetch_add(kBatch);
@@ -270,6 +270,22 @@ TEST_P(NativeBatchedQueues, ConcurrentBatchConservation) {
   EXPECT_TRUE(r.ok) << r.diagnostic;
   std::set<u64> unique;
   for (const Entry& e : drained) EXPECT_TRUE(unique.insert(e.item).second);
+}
+
+class NativeBatchedQueues : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(NativeBatchedQueues, ConcurrentBatchConservation) {
+  batch_conservation(GetParam(), 16, FunnelProtocol::kExchange);
+}
+
+// 64 priorities put FunnelTree's heap nodes at depths 4 and 5 below the
+// funnel cut-off, so batches reach the MCS counters' fai_batch and
+// bfad_batch, and the bins, at depth 6, are single-slot funnels.
+TEST(NativeBatchedFunnelTree, DeepTreeConservation) {
+  for (FunnelProtocol protocol : {FunnelProtocol::kExchange, FunnelProtocol::kAggregate}) {
+    SCOPED_TRACE(to_string(protocol));
+    batch_conservation(Algorithm::kFunnelTree, 64, protocol);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(FunnelsAndFallback, NativeBatchedQueues,
